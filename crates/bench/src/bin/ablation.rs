@@ -39,14 +39,14 @@ fn main() {
                 .collect();
         }
         let t_cons = t0.elapsed();
-        let area_cons = synthesize_with_context(&conservative, &opts)
+        let area_cons = synthesize_with_context(&conservative, &opts, None)
             .map(|s| s.literal_area)
             .unwrap_or(0);
 
         let t1 = Instant::now();
         let liberal = StructuralContext::build(&stg).expect("ctx");
         let t_lib = t1.elapsed();
-        let area_lib = synthesize_with_context(&liberal, &opts)
+        let area_lib = synthesize_with_context(&liberal, &opts, None)
             .map(|s| s.literal_area)
             .unwrap_or(0);
 

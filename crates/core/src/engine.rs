@@ -492,7 +492,7 @@ impl<'a> Engine<'a> {
     ///
     /// As [`crate::synthesize`].
     pub fn synthesize_with(&self, options: &SynthesisOptions) -> Result<Synthesis, SynthesisError> {
-        synthesize_with_context(self.context()?, options)
+        synthesize_with_context(self.context()?, options, None)
     }
 
     /// The state-based baseline (§IX-B/C) over the cached reachability

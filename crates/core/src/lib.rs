@@ -67,7 +67,7 @@ pub use statebased::{
 };
 pub use synthesis::{
     derive_clusters, realize_clusters, revalidate_clusters, synthesize, synthesize_signal,
-    synthesize_with_context, Architecture, MinimizeStages, SignalClusters, SignalResult, Synthesis,
-    SynthesisOptions,
+    synthesize_with_context, Architecture, ClusterSource, MinimizeStages, SignalClusters,
+    SignalResult, Synthesis, SynthesisOptions,
 };
 pub use techmap::{map_circuit, CellUse, MappedCircuit};

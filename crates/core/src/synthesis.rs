@@ -196,11 +196,21 @@ pub fn synthesize(stg: &Stg, options: &SynthesisOptions) -> Result<Synthesis, Sy
     crate::Engine::new(stg).options(*options).synthesize()
 }
 
+/// Where [`synthesize_signals`] gets one signal's clusters from when it
+/// does not derive them itself: a cache in front of [`derive_clusters`]
+/// (the serving layer's per-signal cover store). It runs on the pool's
+/// worker threads, and whatever it returns is realized against the
+/// current context by [`realize_clusters`].
+pub type ClusterSource<'s> = dyn Fn(SignalId) -> Result<SignalClusters, SynthesisError> + Sync + 's;
+
 /// Like [`synthesize`] but reusing an existing context (the expensive
 /// structural analyses are shared across architecture/stage sweeps).
+/// `clusters` is the per-signal cluster source; `None` derives every
+/// signal's clusters fresh.
 pub fn synthesize_with_context(
     ctx: &StructuralContext<'_>,
     options: &SynthesisOptions,
+    clusters: Option<&ClusterSource<'_>>,
 ) -> Result<Synthesis, SynthesisError> {
     let csc = ctx.csc_verdict();
     if let CscVerdict::Unknown { places } = &csc {
@@ -208,7 +218,7 @@ pub fn synthesize_with_context(
             places: places.clone(),
         });
     }
-    let results = synthesize_signals(ctx, &ctx.stg.synthesized_signals(), options)?;
+    let results = synthesize_signals(ctx, &ctx.stg.synthesized_signals(), options, clusters)?;
     let circuit = Circuit {
         implementations: results.iter().map(|r| r.implementation.clone()).collect(),
     };
@@ -224,12 +234,22 @@ pub fn synthesize_with_context(
     })
 }
 
+/// How long [`synthesize_signals`] works through a batch on the calling
+/// thread before it starts helper threads for the rest: many times what
+/// starting one costs, so a batch that finishes sooner never pays for it.
+#[cfg(feature = "parallel")]
+const HELPERS_AFTER: std::time::Duration = std::time::Duration::from_millis(5);
+
 /// Synthesizes a batch of signals, in parallel across worker threads when
 /// the `parallel` feature is on (the default). Signals are independent given
 /// the shared immutable context, so the result — including which error is
 /// reported when several signals fail — is identical to the sequential
 /// loop: results come back in input order and the failure of the
-/// earliest-listed failing signal wins.
+/// earliest-listed failing signal wins. Each signal's clusters come from
+/// `clusters` when given, else from [`synthesize_signal`]'s own derivation.
+///
+/// Helper threads start only once the batch has run for a few
+/// milliseconds on the calling thread (`HELPERS_AFTER`).
 ///
 /// Workers are panic-isolated: a panic while synthesizing one signal is
 /// caught at the worker boundary and recorded as that signal's
@@ -240,52 +260,62 @@ pub fn synthesize_signals(
     ctx: &StructuralContext<'_>,
     signals: &[SignalId],
     options: &SynthesisOptions,
+    clusters: Option<&ClusterSource<'_>>,
 ) -> Result<Vec<SignalResult>, SynthesisError> {
+    let one = |signal| match clusters {
+        Some(source) => Ok(realize_clusters(ctx, &source(signal)?, options)),
+        None => synthesize_signal(ctx, signal, options),
+    };
     #[cfg(feature = "parallel")]
     {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(signals.len());
+        // Read once: the standard library re-reads the cgroup CPU quota
+        // on every call, which a serving process would pay per job.
+        static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+        let threads =
+            *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+        let workers = threads.min(signals.len());
         if workers > 1 {
             let next = std::sync::atomic::AtomicUsize::new(0);
-            let slots: Vec<std::sync::Mutex<Option<Result<SignalResult, SynthesisError>>>> =
-                signals
-                    .iter()
-                    .map(|_| std::sync::Mutex::new(None))
-                    .collect();
+            let slots: std::sync::Mutex<Vec<Option<Result<SignalResult, SynthesisError>>>> =
+                std::sync::Mutex::new(signals.iter().map(|_| None).collect());
+            // Synthesizes the next unclaimed signal; `false` once none is left.
+            let step = || {
+                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                let Some(&signal) = signals.get(i) else {
+                    return false;
+                };
+                let r = si_fault::run_isolated(|| {
+                    // Injection site: a worker that panics on the i-th
+                    // signal of the batch.
+                    si_fault::fail_point!("synthesis::signal", i);
+                    one(signal)
+                })
+                .unwrap_or_else(|detail| Err(SynthesisError::WorkerPanicked { signal, detail }));
+                si_fault::relock(&slots)[i] = Some(r);
+                true
+            };
+            // On small batches (cached covers, small nets) a thread start
+            // costs more than it saves.
             std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let Some(&signal) = signals.get(i) else { break };
-                        let r = si_fault::run_isolated(|| {
-                            // Injection site: a worker that panics on the
-                            // i-th signal of the batch.
-                            si_fault::fail_point!("synthesis::signal", i);
-                            synthesize_signal(ctx, signal, options)
-                        })
-                        .unwrap_or_else(|detail| {
-                            Err(SynthesisError::WorkerPanicked { signal, detail })
-                        });
-                        *si_fault::relock(&slots[i]) = Some(r);
-                    });
+                let t0 = std::time::Instant::now();
+                while t0.elapsed() < HELPERS_AFTER {
+                    if !step() {
+                        return;
+                    }
                 }
+                for _ in 1..workers {
+                    scope.spawn(|| while step() {});
+                }
+                while step() {}
             });
+            let slots = slots.into_inner().unwrap_or_else(|p| p.into_inner());
             return slots
                 .into_iter()
-                .map(|slot| {
-                    slot.into_inner()
-                        .unwrap_or_else(|poisoned| poisoned.into_inner())
-                        .expect("worker filled every slot")
-                })
+                .map(|slot| slot.expect("worker filled every slot"))
                 .collect();
         }
     }
-    signals
-        .iter()
-        .map(|&signal| synthesize_signal(ctx, signal, options))
-        .collect()
+    signals.iter().map(|&signal| one(signal)).collect()
 }
 
 /// Synthesizes one signal under the chosen architecture.

@@ -508,8 +508,12 @@ pub fn render_tree() -> String {
     out
 }
 
-fn json_escape(s: &str) -> String {
+/// A JSON string literal, quotes included: escapes quotes, backslashes
+/// and control characters. The workspace's one JSON string escaper (the
+/// serving layer re-exports it as `si_serve::json::escape`).
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -523,13 +527,14 @@ fn json_escape(s: &str) -> String {
             c => out.push(c),
         }
     }
+    out.push('"');
     out
 }
 
 fn render_json_span(out: &mut String, name: &str, node: &SpanNode) {
     let _ = write!(
         out,
-        "{{\"name\": \"{}\", \"calls\": {}, \"total_ms\": {}, \"children\": [",
+        "{{\"name\": {}, \"calls\": {}, \"total_ms\": {}, \"children\": [",
         json_escape(name),
         node.calls,
         fmt_ms(node.total_ns)
@@ -566,12 +571,7 @@ pub fn render_json() -> String {
                 out.push_str(", ");
             }
             first = false;
-            let _ = write!(
-                out,
-                "\"{}\": {}",
-                json_escape(name),
-                c.load(Ordering::Relaxed)
-            );
+            let _ = write!(out, "{}: {}", json_escape(name), c.load(Ordering::Relaxed));
         }
     }
     out.push_str("}, \"gauges\": {");
@@ -582,12 +582,7 @@ pub fn render_json() -> String {
                 out.push_str(", ");
             }
             first = false;
-            let _ = write!(
-                out,
-                "\"{}\": {}",
-                json_escape(name),
-                g.load(Ordering::Relaxed)
-            );
+            let _ = write!(out, "{}: {}", json_escape(name), g.load(Ordering::Relaxed));
         }
     }
     out.push_str("}, \"histograms\": {");
@@ -605,7 +600,7 @@ pub fn render_json() -> String {
                 .collect();
             let _ = write!(
                 out,
-                "\"{}\": {{\"count\": {}, \"sum\": {}, \"buckets\": [{}]}}",
+                "{}: {{\"count\": {}, \"sum\": {}, \"buckets\": [{}]}}",
                 json_escape(name),
                 h.count(),
                 h.sum(),

@@ -55,11 +55,9 @@
 
 mod budget;
 mod concurrency;
-mod invariant;
 mod net;
 mod reach;
 mod reduce;
-mod redundant;
 pub mod shard;
 mod siphon;
 mod sm;
@@ -69,11 +67,9 @@ mod symbolic;
 
 pub use budget::{Budget, CancelToken, Interrupt, InterruptReason};
 pub use concurrency::ConcurrencyRelation;
-pub use invariant::{is_p_invariant, p_semiflows, t_semiflows, weighted_tokens, Semiflow};
 pub use net::{FiringView, Marking, Node, PetriNet, PetriNetBuilder, PlaceId, TransId};
 pub use reach::{ReachError, ReachOptions, ReachabilityGraph, StateId};
 pub use reduce::ForwardReduction;
-pub use redundant::{duplicate_places, redundant_places};
 pub use siphon::{
     check_live_safe_fc, is_siphon, is_trap, maximal_trap_within, minimal_siphons, StructuralCheck,
 };

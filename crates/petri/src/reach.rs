@@ -99,7 +99,7 @@ impl ReachOptions {
     /// values < 1 become 1, everything else is rounded up to a power of
     /// two and capped at 64.
     pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1).next_power_of_two().min(64);
+        self.shards = shards.clamp(1, 64).next_power_of_two();
         self
     }
 
@@ -863,6 +863,17 @@ mod tests {
         b.arc_pt(p4, t3);
         b.arc_tp(t3, p0);
         b.build()
+    }
+
+    #[test]
+    fn shard_counts_normalize_without_overflow() {
+        for (asked, runs) in [(0, 1), (1, 1), (3, 4), (64, 64), (65, 64), (usize::MAX, 64)] {
+            assert_eq!(
+                ReachOptions::with_cap(1).shards(asked).shards,
+                runs,
+                "{asked}"
+            );
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //!   │ MarkingSpace  │────▶│ explore (sequential) │───▶│ ReachabilityGraph│
 //!   │ (firing rule) │  ┌─▶│                      │    │ ::build[_sharded]│
 //!   ├───────────────┤  │  ├──────────────────────┤    ├──────────────────┤
-//!   │ SI-verify     │──┤  │ shard::              │───▶│ verify_circuit_on│
+//!   │ SI-verify     │──┤  │ shard::              │───▶│ Engine::verify   │
 //!   │ (rg walk)     │  │  │   explore_sharded    │    ├──────────────────┤
 //!   ├───────────────┤  │  │ (hash-partitioned,   │    │ conform::        │
 //!   │ spec×circuit  │──┤  │  N workers)          │    │   check_*        │
@@ -191,7 +191,7 @@ impl ExploreOptions {
     /// Sets the shard count (normalized like
     /// [`crate::ReachOptions::shards`]).
     pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1).next_power_of_two().min(64);
+        self.shards = shards.clamp(1, 64).next_power_of_two();
         self
     }
 
@@ -739,6 +739,17 @@ mod tests {
         b.arc_pt(p1, t2);
         b.arc_tp(t2, p0);
         b.build()
+    }
+
+    #[test]
+    fn shard_counts_normalize_without_overflow() {
+        for (asked, runs) in [(0, 1), (1, 1), (3, 4), (64, 64), (65, 64), (usize::MAX, 64)] {
+            assert_eq!(
+                ExploreOptions::with_cap(1).shards(asked).shards,
+                runs,
+                "{asked}"
+            );
+        }
     }
 
     #[test]

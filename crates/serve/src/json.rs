@@ -1,15 +1,17 @@
 //! Minimal JSON: a recursive-descent parser and string escaping.
 //!
-//! The workspace ships no serde (offline build environment), and the CLI
-//! already emits its `--json` reports by hand. The server side additionally
-//! needs to *read* requests and cached response objects, so this module
-//! provides the smallest JSON value model that covers the wire protocol.
+//! The workspace ships no serde (offline build environment): reports are
+//! written by hand with [`escape`], and this module provides the smallest
+//! JSON value model that reads requests and response bodies back.
 //! Numbers are kept as `f64` — protocol numbers are small counters; the
 //! one potentially huge value (`spec_states`, a `u128`) is only ever
 //! emitted, never parsed back by the server.
 
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// 2^53: above it an `f64` no longer represents every integer.
+const MAX_EXACT: f64 = 9_007_199_254_740_992.0;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -53,10 +55,12 @@ impl Value {
         }
     }
 
-    /// The numeric payload as a `usize` (floors; `None` on negatives).
+    /// The numeric payload as a `usize`: `None` unless it is a
+    /// non-negative integer of at most 2^53 (the largest an `f64` holds
+    /// exactly), so `2.5` or `1e30` is rejected rather than truncated.
     pub fn as_usize(&self) -> Option<usize> {
         match self {
-            Value::Num(n) if *n >= 0.0 => Some(*n as usize),
+            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= MAX_EXACT => Some(*n as usize),
             _ => None,
         }
     }
@@ -288,22 +292,9 @@ pub fn parse(text: &str) -> Result<Value, JsonError> {
 }
 
 /// JSON string literal with minimal escaping (quotes, backslashes,
-/// control characters) — the same convention the CLI's `--json` uses.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
+/// control characters): the workspace's one escaper, shared with the
+/// profile renderer.
+pub use si_obs::json_escape as escape;
 
 #[cfg(test)]
 mod tests {

@@ -23,7 +23,8 @@
 //!
 //! Layering: [`json`] (wire values) → [`store`] (artifacts) → [`queue`]
 //! (execution) → [`service`] (request semantics) → [`server`] / [`client`]
-//! (sockets) → [`cli`] (the `sisyn serve` / `sisyn submit` subcommands).
+//! (sockets) → [`cli`] (`sisyn serve`, `sisyn submit`, and the local
+//! `sisyn check|synth|verify|resolve`, which run the [`Service`] in process).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

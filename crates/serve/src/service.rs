@@ -25,19 +25,28 @@
 //! dirtied. Reuse stays sound independently of the digest because every
 //! cached cluster set is re-checked against the current context by
 //! [`si_core::revalidate_clusters`] before it is realized.
+//!
+//! Every op's flow and report exist only here: `sisyn check|synth|verify|
+//! resolve` runs this same [`Service`] in process (see [`crate::cli`]),
+//! and response bodies put the artifact (`verilog`, `resolved`) last so
+//! the CLI can print the report without it.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use si_boolean::hash::{fnv1a_64, Fnv64};
 use si_boolean::MinimizerChoice;
 use si_core::{
-    clusters_from_wire, clusters_to_wire, derive_clusters, map_circuit, realize_clusters,
-    revalidate_clusters, signal_fingerprint, to_verilog, Architecture, Backend, Circuit,
+    clusters_from_wire, clusters_to_wire, derive_clusters, map_circuit, revalidate_clusters,
+    signal_fingerprint, synthesize_with_context, to_verilog, Analysis, Architecture, Backend,
     CscVerdict, Engine, MinimizeStages, Synthesis, SynthesisError, SynthesisOptions,
 };
 use si_csc::{CscOptions, EngineResolve, InsertionPlan, ResolveStats, Strategy};
-use si_petri::{check_live_safe_fc, ReachError, ReachOptions, ReachSummary, StructuralCheck};
+use si_petri::{
+    check_live_safe_fc, CancelToken, Interrupt, ReachError, ReachOptions, ReachSummary,
+    StructuralCheck,
+};
 use si_stg::{canonical_g, parse_g, write_g, Stg, StgAnalysis};
 use si_verify::{random_walks, EngineVerify};
 
@@ -74,7 +83,7 @@ pub struct Request {
 }
 
 /// The outcome of executing one request: the core response body (a JSON
-/// object keyed like the CLI's `--json` reports) plus the volatile
+/// object, the report `sisyn <op> --json` prints) plus the volatile
 /// execution facts the server splices into the final line.
 #[derive(Clone, Debug)]
 pub struct Response {
@@ -101,22 +110,24 @@ impl Response {
         }
     }
 
-    fn error(op: &str, kind: &str, detail: &str) -> Self {
-        Response::fresh(error_body(op, kind, detail))
+    fn error(op: &str, model: Option<&str>, kind: &str, detail: &str) -> Self {
+        Response::fresh(error_body(op, model, kind, detail))
     }
 }
 
-/// A structured error body in the CLI's error vocabulary.
-fn error_body(op: &str, kind: &str, detail: &str) -> String {
+/// A structured error body: the op, the model when the spec parsed, and
+/// an [`error_json`] object.
+fn error_body(op: &str, model: Option<&str>, kind: &str, detail: &str) -> String {
     format!(
-        "{{\"command\": {}, \"ok\": false, \"error\": {{\"kind\": {}, \"detail\": {}, \"states_explored\": 0}}}}",
+        "{{\"command\": {}, \"ok\": false, \"model\": {}, \"error\": {}}}",
         escape(op),
-        escape(kind),
-        escape(detail),
+        model.map_or("null".to_string(), escape),
+        error_json(kind, detail, 0),
     )
 }
 
-/// The stable CLI identifier of an architecture.
+/// The stable CLI identifier of an architecture — the same vocabulary
+/// `--arch` accepts, so reports round-trip into reproduction commands.
 fn arch_name(arch: Architecture) -> &'static str {
     match arch {
         Architecture::ComplexGate => "complex",
@@ -134,7 +145,9 @@ fn stage_bits(stages: MinimizeStages) -> u64 {
 }
 
 impl Request {
-    /// Parses one request line. `Err` carries (op-or-`?`, detail).
+    /// Parses one request line. `Err` carries (op-or-`?`, detail). This
+    /// is the one validation of the options, whether they arrive on the
+    /// wire or as `sisyn` flags.
     pub fn parse(line: &str) -> Result<Request, (String, String)> {
         let v = parse(line).map_err(|e| ("?".to_string(), e.to_string()))?;
         let op = v
@@ -142,7 +155,6 @@ impl Request {
             .and_then(Value::as_str)
             .ok_or_else(|| ("?".to_string(), "missing \"op\"".to_string()))?
             .to_string();
-        let fail = |detail: String| (op.clone(), detail);
         let spec = v
             .get("spec")
             .and_then(Value::as_str)
@@ -161,68 +173,73 @@ impl Request {
             backend: Backend::Explicit,
             timeout: None,
         };
-        if let Some(a) = v.get("arch").and_then(Value::as_str) {
-            req.arch = match a {
-                "complex" => Architecture::ComplexGate,
-                "excitation" => Architecture::ExcitationFunction,
-                "per-region" => Architecture::PerRegion,
-                other => return Err(fail(format!("unknown architecture {other:?}"))),
-            };
-        }
-        match v.get("stages") {
-            None => {}
-            Some(Value::Str(s)) if s == "full" => {}
-            Some(Value::Str(s)) if s == "none" => req.stages = MinimizeStages::none(),
-            Some(Value::Num(n)) if *n >= 0.0 && *n <= 4.0 => {
-                req.stages = MinimizeStages::stage(*n as usize);
-            }
-            Some(_) => {
-                return Err(fail(
-                    "bad \"stages\" (0..4, \"full\" or \"none\")".to_string(),
-                ))
+        if let Value::Obj(fields) = &v {
+            for (key, value) in fields {
+                req.set(key, value).map_err(|detail| (op.clone(), detail))?;
             }
         }
-        if let Some(m) = v.get("minimizer").and_then(Value::as_str) {
-            req.minimizer = m.parse().map_err(|e: String| fail(e))?;
-        }
-        if let Some(c) = v.get("cap") {
-            let n = c
-                .as_usize()
-                .filter(|&n| n > 0)
-                .ok_or_else(|| fail("\"cap\" must be a positive number".to_string()))?;
-            req.cap = Some(n);
-        }
-        if let Some(s) = v.get("shards") {
-            req.shards = s
-                .as_usize()
-                .filter(|&n| n > 0)
-                .ok_or_else(|| fail("\"shards\" must be a positive number".to_string()))?;
-        }
-        if let Some(b) = v.get("budget") {
-            req.budget = b
-                .as_usize()
-                .ok_or_else(|| fail("\"budget\" must be a number".to_string()))?;
-        }
-        if let Some(s) = v.get("strategy").and_then(Value::as_str) {
-            req.strategy = s.parse().map_err(|e: String| fail(e))?;
-        }
-        if let Some(b) = v.get("backend").and_then(Value::as_str) {
-            req.backend =
-                Backend::parse(b).ok_or_else(|| fail(format!("unknown backend {b:?}")))?;
-        }
-        if let Some(t) = v.get("timeout_ms") {
-            let ms = t
-                .as_usize()
-                .ok_or_else(|| fail("\"timeout_ms\" must be a number".to_string()))?;
-            req.timeout = Some(Duration::from_millis(ms as u64));
+        // Only check and verify ask state-space questions a backend could
+        // answer; elsewhere the option is a mistake worth naming.
+        if req.backend != Backend::Explicit && !matches!(op.as_str(), "check" | "verify") {
+            return Err((
+                op,
+                "\"backend\" applies to check and verify only".to_string(),
+            ));
         }
         Ok(req)
     }
 
+    /// Sets the request field `key` from its wire value (`op` and `spec`
+    /// are read before); an unknown key is an error, so a misspelt option
+    /// is not silently ignored.
+    fn set(&mut self, key: &str, value: &Value) -> Result<(), String> {
+        let text = || {
+            value
+                .as_str()
+                .ok_or_else(|| format!("\"{key}\" must be a string"))
+        };
+        let count = |min: usize| {
+            value
+                .as_usize()
+                .filter(|&n| n >= min)
+                .ok_or_else(|| format!("\"{key}\" must be an integer >= {min}"))
+        };
+        match key {
+            "op" | "spec" => {}
+            "arch" => {
+                self.arch = match text()? {
+                    "complex" => Architecture::ComplexGate,
+                    "excitation" => Architecture::ExcitationFunction,
+                    "per-region" => Architecture::PerRegion,
+                    other => return Err(format!("unknown architecture {other:?}")),
+                }
+            }
+            "stages" => {
+                self.stages = match (value.as_str(), value.as_usize()) {
+                    (Some("full"), _) => MinimizeStages::full(),
+                    (Some("none"), _) => MinimizeStages::none(),
+                    (None, Some(n)) if n <= 4 => MinimizeStages::stage(n),
+                    _ => return Err("bad \"stages\" (0..4, \"full\" or \"none\")".to_string()),
+                }
+            }
+            "minimizer" => self.minimizer = text()?.parse()?,
+            "cap" => self.cap = Some(count(1)?),
+            "shards" => self.shards = count(1)?,
+            "budget" => self.budget = count(0)?,
+            "strategy" => self.strategy = text()?.parse()?,
+            "backend" => {
+                let b = text()?;
+                self.backend = Backend::parse(b).ok_or_else(|| format!("unknown backend {b:?}"))?;
+            }
+            "timeout_ms" => self.timeout = Some(Duration::from_millis(count(0)? as u64)),
+            other => return Err(format!("unknown option {other:?}")),
+        }
+        Ok(())
+    }
+
     /// Reachability options for an oracle whose per-op default cap is
-    /// `default_cap` — mirroring the CLI's `Args::reach`, minus the
-    /// SIGINT token: queued jobs drain to completion on shutdown.
-    fn reach(&self, default_cap: usize) -> ReachOptions {
+    /// `default_cap`, under the request's shard count and deadline.
+    pub fn reach(&self, default_cap: usize) -> ReachOptions {
         let mut reach = ReachOptions::with_cap(self.cap.unwrap_or(default_cap)).shards(self.shards);
         if let Some(d) = self.timeout {
             reach = reach.timeout(d);
@@ -230,7 +247,8 @@ impl Request {
         reach
     }
 
-    fn synthesis(&self) -> SynthesisOptions {
+    /// The synthesis options of this request.
+    pub fn synthesis(&self) -> SynthesisOptions {
         SynthesisOptions {
             architecture: self.arch,
             stages: self.stages,
@@ -269,12 +287,32 @@ impl Request {
 #[derive(Debug)]
 pub struct Service {
     store: Arc<ArtifactStore>,
+    cancel: Option<CancelToken>,
+}
+
+/// What the per-signal cover cache did during one synthesis.
+struct Covers {
+    reused: usize,
+    derived: usize,
+    manifest: Vec<String>,
 }
 
 impl Service {
     /// A service over `store`.
     pub fn new(store: Arc<ArtifactStore>) -> Self {
-        Service { store }
+        Service {
+            store,
+            cancel: None,
+        }
+    }
+
+    /// Puts `token` into every run's budget, so cancelling it winds a
+    /// running job down into a partial verdict. `sisyn <op>` passes its
+    /// Ctrl-C token; the server passes none, because its queued jobs
+    /// drain on shutdown.
+    pub fn cancel(mut self, token: CancelToken) -> Self {
+        self.cancel = Some(token);
+        self
     }
 
     /// The shared artifact store.
@@ -305,7 +343,7 @@ impl Service {
     fn execute_inner(&self, line: &str) -> Response {
         let req = match Request::parse(line) {
             Ok(req) => req,
-            Err((op, detail)) => return Response::error(&op, "bad-request", &detail),
+            Err((op, detail)) => return Response::error(&op, None, "bad-request", &detail),
         };
         if req.op == "stats" {
             return Response::fresh("{\"command\": \"stats\", \"ok\": true}".to_string());
@@ -313,13 +351,14 @@ impl Service {
         if !matches!(req.op.as_str(), "check" | "synth" | "verify" | "resolve") {
             return Response::error(
                 &req.op,
+                None,
                 "bad-request",
                 "unknown op (expected check, synth, verify, resolve, stats or metrics)",
             );
         }
         let parsed = match parse_g(&req.spec) {
             Ok(stg) => stg,
-            Err(e) => return Response::error(&req.op, "parse-error", &e.to_string()),
+            Err(e) => return Response::error(&req.op, None, "parse-error", &e.to_string()),
         };
         // Work on the canonical reparse: node ids, cube columns and
         // implicit place names are then identical for every textual
@@ -332,11 +371,8 @@ impl Service {
         let resp_key = format!("resp:{job:016x}");
         if let Some(body) = self.store.get(&resp_key) {
             return Response {
-                body,
                 cache_hit: true,
-                reach_builds: 0,
-                covers_reused: 0,
-                covers_derived: 0,
+                ..Response::fresh(body)
             };
         }
         let run = match req.op.as_str() {
@@ -351,6 +387,24 @@ impl Service {
             self.store.put(&format!("manifest:{job:016x}"), &manifest);
         }
         run.response
+    }
+
+    /// The request's reachability options plus this service's
+    /// cancellation token.
+    fn reach(&self, req: &Request, default_cap: usize) -> ReachOptions {
+        let reach = req.reach(default_cap);
+        match &self.cancel {
+            Some(token) => reach.cancel(token.clone()),
+            None => reach,
+        }
+    }
+
+    /// The configured session over `stg`.
+    fn engine<'a>(&self, stg: &'a Stg, req: &Request, default_cap: usize) -> Engine<'a> {
+        Engine::new(stg)
+            .reach(self.reach(req, default_cap))
+            .options(req.synthesis())
+            .backend(req.backend)
     }
 
     /// Imports the spec's cached reachability summary into `engine`, or
@@ -383,19 +437,26 @@ impl Service {
     }
 
     fn run_check(&self, stg: &Stg, spec_hash: u64, req: &Request) -> Run {
-        let engine = Engine::new(stg)
-            .reach(req.reach(100_000))
-            .options(req.synthesis())
-            .backend(req.backend);
+        let engine = self.engine(stg, req, 100_000);
         let (engine, summary_key) = self.import_summary(engine, spec_hash);
         let mut manifest: Vec<String> = summary_key.into_iter().collect();
 
+        // The count is informational: the structural flow never needs the
+        // state graph, so running out of budget is not a failure.
         let count = engine.spec_state_count();
+        let count_inconclusive = count.as_ref().is_err_and(ReachError::is_inconclusive);
         let live_safe = matches!(check_live_safe_fc(stg.net()), StructuralCheck::Ok);
         let consistent = StgAnalysis::analyze(stg).is_ok();
         let analysis = engine.analyze();
+        let witness_places = match &analysis {
+            Ok(Analysis {
+                csc: CscVerdict::Unknown { places },
+                ..
+            }) => Some(places.len()),
+            _ => None,
+        };
         // The structural CSC verdict is conservative; a non-default
-        // backend settles an unknown exactly, as `sisyn check` does.
+        // backend settles an unknown exactly from the reachable set.
         let (csc, csc_ok, csc_conclusive) = match &analysis {
             Ok(a) => match &a.csc {
                 CscVerdict::UscHolds => ("usc-holds", true, true),
@@ -413,11 +474,8 @@ impl Service {
         };
         self.export_summary(&engine, spec_hash, &mut manifest);
 
-        let count_conclusive = match &count {
-            Ok(_) => true,
-            Err(e) => !e.is_inconclusive(),
-        };
-        let ok = live_safe && consistent && csc_ok && analysis.is_ok();
+        let count_ok = count.is_ok() || count_inconclusive;
+        let ok = count_ok && live_safe && consistent && csc_ok && analysis.is_ok();
         let (conflicts, rounds, sm, cubes) = match &analysis {
             Ok(a) => (
                 a.conflicts.to_string(),
@@ -430,19 +488,24 @@ impl Service {
         let body = format!(
             "{{\"command\": \"check\", \"ok\": {ok}, \"model\": {}, \
              \"signals\": {}, \"transitions\": {}, \"places\": {}, \
-             \"free_choice\": {}, \"spec_states\": {}, \"backend\": {}, \
-             \"live_safe\": {live_safe}, \"consistent\": {consistent}, \
+             \"free_choice\": {}, \"spec_states\": {}, \"spec_states_error\": {}, \
+             \"backend\": {}, \"live_safe\": {live_safe}, \"consistent\": {consistent}, \
              \"conflicts\": {conflicts}, \"refinement_rounds\": {rounds}, \
              \"sm_count\": {sm}, \"place_cover_cubes\": {cubes}, \
-             \"csc\": {}, \"analysis_error\": {}}}",
+             \"csc\": {}, \"witness_places\": {}, \"analysis_error\": {}}}",
             escape(stg.name()),
             stg.signal_count(),
             stg.net().transition_count(),
             stg.net().place_count(),
             stg.net().is_free_choice(),
             count.as_ref().map_or("null".to_string(), u128::to_string),
+            count
+                .as_ref()
+                .err()
+                .map_or("null".to_string(), reach_error_json),
             escape(req.backend.as_str()),
             escape(csc),
+            witness_places.map_or("null".to_string(), |n| n.to_string()),
             analysis
                 .as_ref()
                 .err()
@@ -453,35 +516,23 @@ impl Service {
                 reach_builds: engine.reach_build_count(),
                 ..Response::fresh(body)
             },
-            conclusive: count_conclusive && csc_conclusive,
+            conclusive: !count_inconclusive && csc_conclusive,
             manifest,
         }
     }
 
-    /// The per-signal cached synthesis path: for every synthesized
-    /// signal, try `cover:<fingerprint>` → parse → revalidate against
-    /// the *current* context → realize; fall back to a fresh derivation
-    /// (stored for next time). The assembled [`Synthesis`] is
-    /// result-identical to [`si_core::synthesize_with_context`].
-    fn synthesize_cached(
-        &self,
-        engine: &Engine<'_>,
-        stg: &Stg,
-        options: &SynthesisOptions,
-    ) -> Result<(Synthesis, usize, usize, Vec<String>), SynthesisError> {
+    /// Synthesizes on the per-signal pool with the store as each signal's
+    /// cluster source: `cover:<fingerprint>` → parse → revalidate against
+    /// the *current* context, or a fresh derivation (stored for next
+    /// time) on a miss.
+    fn synthesize(&self, engine: &Engine<'_>) -> Result<(Synthesis, Covers), SynthesisError> {
         let ctx = engine.context()?;
-        let csc = ctx.csc_verdict();
-        if let CscVerdict::Unknown { places } = &csc {
-            return Err(SynthesisError::CscViolationPossible {
-                places: places.clone(),
-            });
-        }
-        let mut results = Vec::new();
-        let (mut reused, mut derived) = (0usize, 0usize);
-        let mut manifest = Vec::new();
-        for signal in stg.synthesized_signals() {
-            let fp = signal_fingerprint(ctx, signal, options);
-            let key = format!("cover:{fp:016x}");
+        let stg = engine.stg();
+        let options = engine.synthesis_options();
+        let reused = AtomicUsize::new(0);
+        let manifest = Mutex::new(Vec::new());
+        let source = |signal| {
+            let key = format!("cover:{:016x}", signal_fingerprint(ctx, signal, options));
             let cached = self
                 .store
                 .get(&key)
@@ -490,46 +541,39 @@ impl Service {
                 .filter(|c| revalidate_clusters(ctx, c, options));
             let clusters = match cached {
                 Some(clusters) => {
-                    reused += 1;
+                    reused.fetch_add(1, Ordering::Relaxed);
                     clusters
                 }
                 None => {
                     let clusters = derive_clusters(ctx, signal, options)?;
                     self.store.put(&key, &clusters_to_wire(stg, &clusters));
-                    derived += 1;
                     clusters
                 }
             };
-            manifest.push(format!("{key} signal={}", stg.signal_name(signal)));
-            results.push(realize_clusters(ctx, &clusters, options));
-        }
-        let circuit = Circuit {
-            implementations: results.iter().map(|r| r.implementation.clone()).collect(),
+            let line = format!("{key} signal={}", stg.signal_name(signal));
+            si_fault::relock(&manifest).push((signal, line));
+            Ok(clusters)
         };
-        let literal_area = circuit.literal_area();
+        let syn = synthesize_with_context(ctx, options, Some(&source))?;
+        let mut manifest = manifest
+            .into_inner()
+            .expect("the manifest lock is held only across a push");
+        manifest.sort_unstable();
+        let reused = reused.into_inner();
         Ok((
-            Synthesis {
-                results,
-                circuit,
-                literal_area,
-                refinement_rounds: ctx.refinement_rounds,
-                place_cover_cubes: ctx.total_cubes(),
-                sm_count: ctx.sm_cover.len(),
-                csc,
+            syn,
+            Covers {
+                reused,
+                derived: manifest.len() - reused,
+                manifest: manifest.into_iter().map(|(_, line)| line).collect(),
             },
-            reused,
-            derived,
-            manifest,
         ))
     }
 
     fn run_synth(&self, stg: &Stg, req: &Request) -> Run {
-        let options = req.synthesis();
-        let engine = Engine::new(stg)
-            .reach(req.reach(4_000_000))
-            .options(options);
-        match self.synthesize_cached(&engine, stg, &options) {
-            Ok((syn, reused, derived, manifest)) => {
+        let engine = self.engine(stg, req, 4_000_000);
+        match self.synthesize(&engine) {
+            Ok((syn, covers)) => {
                 let mapped = map_circuit(&syn.circuit);
                 let body = format!(
                     "{{\"command\": \"synth\", \"ok\": true, \"model\": {}, \
@@ -550,49 +594,31 @@ impl Service {
                 );
                 Run {
                     response: Response {
-                        covers_reused: reused,
-                        covers_derived: derived,
+                        covers_reused: covers.reused,
+                        covers_derived: covers.derived,
                         reach_builds: engine.reach_build_count(),
                         ..Response::fresh(body)
                     },
                     conclusive: true,
-                    manifest,
+                    manifest: covers.manifest,
                 }
             }
-            Err(e) => Run {
-                response: Response::error(&req.op, synthesis_error_kind(&e), &e.to_string()),
-                // Structural failures are deterministic verdicts about the
-                // spec; a worker panic is not.
-                conclusive: !matches!(e, SynthesisError::WorkerPanicked { .. }),
-                manifest: Vec::new(),
-            },
+            Err(e) => synthesis_failed(stg, req, &e),
         }
     }
 
     fn run_verify(&self, stg: &Stg, spec_hash: u64, req: &Request) -> Run {
-        let options = req.synthesis();
-        let engine = Engine::new(stg)
-            .reach(req.reach(4_000_000))
-            .options(options)
-            .backend(req.backend);
+        let engine = self.engine(stg, req, 4_000_000);
         let (engine, summary_key) = self.import_summary(engine, spec_hash);
         let mut manifest: Vec<String> = summary_key.into_iter().collect();
-        let (syn, reused, derived, cover_manifest) = match self
-            .synthesize_cached(&engine, stg, &options)
-        {
+        let (syn, covers) = match self.synthesize(&engine) {
             Ok(parts) => parts,
-            Err(e) => {
-                return Run {
-                    response: Response::error(&req.op, synthesis_error_kind(&e), &e.to_string()),
-                    conclusive: !matches!(e, SynthesisError::WorkerPanicked { .. }),
-                    manifest: Vec::new(),
-                }
-            }
+            Err(e) => return synthesis_failed(stg, req, &e),
         };
-        manifest.extend(cover_manifest);
+        manifest.extend(covers.manifest);
         let volatile = |resp: Response| Response {
-            covers_reused: reused,
-            covers_derived: derived,
+            covers_reused: covers.reused,
+            covers_derived: covers.derived,
             reach_builds: engine.reach_build_count(),
             ..resp
         };
@@ -643,8 +669,10 @@ impl Service {
             "{{\"command\": \"verify\", \"ok\": {ok}, \"inconclusive\": {inconclusive}, \
              \"model\": {}, \"backend\": {}, \"spec_states\": {}, \"symbolic\": {}, \
              \"functional_ok\": {}, \"violations\": {}, \"states_checked\": {}, \
+             \"functional_interrupted\": {}, \
              \"conformance_ok\": {}, \"conformance_failures\": {}, \
-             \"states_explored\": {}, \"trace\": {trace_json}, \
+             \"states_explored\": {}, \"conformance_interrupted\": {}, \
+             \"trace\": {trace_json}, \
              \"random_walks_ok\": {}, \"literal_area\": {}, \"minimizer\": {}}}",
             escape(stg.name()),
             escape(req.backend.as_str()),
@@ -655,9 +683,11 @@ impl Service {
             functional.is_ok(),
             functional.violations.len(),
             functional.states_checked,
+            interrupt_json(functional.interrupted),
             conformance.is_ok(),
             conformance.failures.len(),
             conformance.states_explored,
+            interrupt_json(conformance.interrupted),
             sim.is_clean(),
             syn.literal_area,
             escape(req.minimizer.name()),
@@ -670,13 +700,13 @@ impl Service {
     }
 
     fn run_resolve(&self, stg: &Stg, req: &Request) -> Run {
-        let engine = Engine::new(stg)
-            .reach(req.reach(1_000_000))
-            .options(req.synthesis());
+        // The cap bounds each candidate's behavioural acceptance oracle;
+        // the budget bounds the candidate search itself.
+        let engine = self.engine(stg, req, 1_000_000);
         let options = CscOptions::default()
             .budget(req.budget)
             .strategy(req.strategy)
-            .reach(req.reach(1_000_000));
+            .reach(self.reach(req, 1_000_000));
         let outcome = engine.resolve_csc_outcome(&options);
         let stats = &outcome.stats;
         let run = |body, conclusive| Run {
@@ -737,6 +767,25 @@ struct Run {
     manifest: Vec<String>,
 }
 
+/// The run of a failed synthesis. Structural failures are deterministic
+/// verdicts about the spec and may be cached; a worker panic is not.
+fn synthesis_failed(stg: &Stg, req: &Request, e: &SynthesisError) -> Run {
+    let kind = synthesis_error_kind(e);
+    Run {
+        response: Response::error(&req.op, Some(stg.name()), kind, &e.to_string()),
+        conclusive: !matches!(e, SynthesisError::WorkerPanicked { .. }),
+        manifest: Vec::new(),
+    }
+}
+
+/// The stable machine-readable kind of a synthesis error.
+fn synthesis_error_kind(e: &SynthesisError) -> &'static str {
+    match e {
+        SynthesisError::WorkerPanicked { .. } => "worker-panicked",
+        _ => "synthesis-failed",
+    }
+}
+
 /// The per-op latency histogram name for a response body, keyed by its
 /// `"command"` prefix (the body always leads with it, so a prefix probe
 /// avoids reparsing the JSON on every job).
@@ -755,14 +804,10 @@ fn op_latency_metric(body: &str) -> &'static str {
     "serve.op.other_us"
 }
 
-fn synthesis_error_kind(e: &SynthesisError) -> &'static str {
-    match e {
-        SynthesisError::WorkerPanicked { .. } => "worker-panicked",
-        _ => "synthesis-failed",
-    }
-}
-
-fn error_json(kind: &str, detail: &str, states_explored: usize) -> String {
+/// A structured error object: a stable machine-readable kind, a
+/// human-readable detail, and how far the exploration got before
+/// stopping (0 when no state space was involved).
+pub fn error_json(kind: &str, detail: &str, states_explored: usize) -> String {
     format!(
         "{{\"kind\": {}, \"detail\": {}, \"states_explored\": {states_explored}}}",
         escape(kind),
@@ -770,6 +815,11 @@ fn error_json(kind: &str, detail: &str, states_explored: usize) -> String {
     )
 }
 
+/// The error object of a [`ReachError`]. The kind vocabulary matches
+/// [`si_petri::InterruptReason`]'s stable identifiers (`cap-exceeded`,
+/// `deadline-expired`, `cancelled`, `memory-exhausted`) plus `not-safe`
+/// and `worker-panicked`; a cap overflow reports the cap as
+/// `states_explored`.
 fn reach_error_json(e: &ReachError) -> String {
     let (kind, states, elapsed_ms) = match e {
         ReachError::StateCapExceeded { cap } => ("cap-exceeded", *cap, 0),
@@ -789,6 +839,19 @@ fn reach_error_json(e: &ReachError) -> String {
     )
 }
 
+/// Why and after how many states a partial verify phase stopped (`null`
+/// when it finished).
+fn interrupt_json(interrupted: Option<Interrupt>) -> String {
+    interrupted.map_or("null".to_string(), |i| {
+        format!(
+            "{{\"reason\": {}, \"states_explored\": {}}}",
+            escape(i.reason.as_str()),
+            i.states_explored
+        )
+    })
+}
+
+/// The per-candidate search statistics as a JSON object.
 fn stats_json(stats: &ResolveStats) -> String {
     let interrupted = match stats.interrupted {
         None => "null".to_string(),
@@ -816,6 +879,8 @@ fn stats_json(stats: &ResolveStats) -> String {
     )
 }
 
+/// An accepted insertion plan over the STG's node names (`null` for the
+/// no-conflict sentinel plan).
 fn plan_json(stg: &Stg, plan: &InsertionPlan) -> String {
     if plan.rise_split == plan.fall_split {
         return "null".to_string(); // sentinel: input already satisfied CSC
@@ -875,7 +940,7 @@ pub fn envelope(resp: &Response, job_ms: f64, store: &StoreStats, queue: &QueueS
 
 /// A worker-panic response for a job that never produced a body.
 pub fn panic_body(detail: &str) -> String {
-    error_body("?", "worker-panicked", detail)
+    error_body("?", None, "worker-panicked", detail)
 }
 
 #[cfg(test)]
@@ -898,7 +963,19 @@ mod tests {
     #[test]
     fn bad_requests_are_structured_errors() {
         let s = service();
-        for line in ["not json", "{}", "{\"op\": \"launder\"}"] {
+        let spec = escape(&spec());
+        let non_integral = [
+            format!("{{\"op\": \"synth\", \"spec\": {spec}, \"stages\": 2.5}}"),
+            format!("{{\"op\": \"resolve\", \"spec\": {spec}, \"budget\": 1.5}}"),
+            format!("{{\"op\": \"check\", \"spec\": {spec}, \"shards\": 1e30}}"),
+            format!("{{\"op\": \"verify\", \"spec\": {spec}, \"timeout\": 5}}"),
+        ];
+        let lines = ["not json", "{}", "{\"op\": \"launder\"}"];
+        for line in lines
+            .iter()
+            .copied()
+            .chain(non_integral.iter().map(String::as_str))
+        {
             let r = s.execute(line);
             assert!(r.body.contains("\"ok\": false"), "{line}: {}", r.body);
             assert!(r.body.contains("bad-request"), "{line}: {}", r.body);

@@ -16,88 +16,33 @@
 //! sisyn serve   --socket PATH        persistent synthesis server: jobs over a
 //!                                    Unix/TCP socket with a content-addressed
 //!                                    artifact store (see `sisyn::serve`)
-//! sisyn submit  --socket PATH OP SPEC.g   send one job to a running server
+//! sisyn submit  --socket PATH OP SPEC.g   send one job to a running server;
+//!                                    takes the options below, and always
+//!                                    prints the JSON response line
 //!
-//! options:
-//!   -o FILE            write the main artifact (Verilog / .g / dot) to FILE
-//!   --arch ARCH        complex | excitation | per-region   (default excitation)
-//!   --stages N         minimization stage 0..4 or "full"    (default full)
-//!   --minimizer M      two-level minimizer backend for the complex-gate
-//!                      architecture and the state-based oracles:
-//!                      espresso | exact | bdd | auto        (default espresso;
-//!                      `auto` picks per signal by cover size and is never
-//!                      worse in literals than espresso)
-//!   --json             machine-readable JSON report on stdout for
-//!                      synth / verify / resolve / deadlock (exit codes
-//!                      unchanged; the artifact is only written when -o
-//!                      is given)
-//!   --waveform N       also print an N-step simulated waveform
-//!   --cap N            state cap for every reachability-based oracle;
-//!                      exceeding it fails fast with a StateCapExceeded
-//!                      report that names this flag (pass a larger
-//!                      `--cap N` to raise the cap) instead of hanging.
-//!                      Per-command defaults when omitted: check 100000
-//!                      (cheap count), verify 4000000 (one cached graph
-//!                      serves the functional and conformance oracles),
-//!                      resolve 1000000. NOTE for resolve: --cap and
-//!                      --budget bound different things — --cap bounds
-//!                      the state space of the behavioural *acceptance
-//!                      oracle* run on each surviving candidate, while
-//!                      --budget bounds the *candidate search* itself
-//!                      (how many insertion plans may be structurally
-//!                      evaluated). Raising --cap admits bigger
-//!                      candidates; raising --budget searches longer.
-//!   --shards N|auto    explore state spaces with N parallel shard
-//!                      workers (see si-petri's generic sharded explorer;
-//!                      N is rounded up to a power of two, max 64); `auto`
-//!                      picks the hardware-thread count rounded down.
-//!                      Applies to every traversal of the run: the
-//!                      reachability build, the speed-independence
-//!                      violation search and the spec×circuit conformance
-//!                      product. Default 1 (sequential). Raising --cap on
-//!                      a big net? Combine it with --shards to keep the
-//!                      wall time down. When `verify` finds a violation
-//!                      it prints (and emits in --json as "trace") a
-//!                      firing-sequence counterexample leading to it.
-//!   --budget N         resolve only: insertion-candidate search budget
-//!                      (default 100000) — how many state-signal
-//!                      insertions may be structurally evaluated,
-//!                      distinct from the --cap that bounds each
-//!                      candidate's acceptance oracle (see --cap)
-//!   --strategy S       resolve only: candidate-selection strategy,
-//!                      greedy | beam (default greedy). greedy accepts
-//!                      the first oracle-approved candidate in
-//!                      conflict-core proximity order; beam scores the
-//!                      whole nearest candidate tier, ranks survivors by
-//!                      the cost model (literal delta + concurrency
-//!                      penalty) and oracles the best ones
-//!   --backend B        check / verify only: which reachability backend
-//!                      answers the state-space queries both can answer
-//!                      (reachable-marking counts, exact CSC refinement of
-//!                      an unknown structural verdict):
-//!                      explicit | symbolic | auto   (default explicit).
-//!                      `explicit` enumerates the interned state graph —
-//!                      the oracle; `symbolic` computes the reachable set
-//!                      as a BDD by image iteration, so counts and coding
-//!                      verdicts keep working past the explicit --cap on
-//!                      highly concurrent nets (the cap does not apply to
-//!                      it; --timeout and Ctrl-C do); `auto` tries the
-//!                      explicit explorer and falls back to symbolic when
-//!                      the explicit run ends inconclusively. The
-//!                      functional / conformance oracles of `verify`
-//!                      always run on the explicit graph; with --json the
-//!                      report carries "backend", "spec_states" and (for
-//!                      symbolic) iteration statistics.
-//!   --timeout DUR      wall-clock budget for the run's state-space
-//!                      oracles (reachability, violation search,
-//!                      conformance product, resolve's candidate search).
-//!                      DUR is `500ms`, `2s`, `1m` or a plain number of
-//!                      milliseconds. Past the deadline every traversal
-//!                      winds down gracefully and the run reports a
-//!                      *partial* verdict ("no violation in the N states
-//!                      explored") with exit code 3 — inconclusive, not
-//!                      failed. Ctrl-C (SIGINT) triggers the same graceful
-//!                      wind-down via a cooperative cancellation token.
+//! options (README has the long form):
+//!   -o FILE            write the artifact (Verilog / .g / dot) to FILE
+//!   --arch ARCH        complex | excitation | per-region (default excitation)
+//!   --stages N         minimization stage 0..4, "full" or "none" (default full)
+//!   --minimizer M      espresso | exact | bdd | auto (default espresso): the
+//!                      two-level backend of the complex-gate architecture
+//!   --json             the JSON report on stdout: for check / synth / verify /
+//!                      resolve the body `sisyn serve` answers with, minus
+//!                      the artifact (written only with -o)
+//!   --waveform N       synth: also print an N-step simulated waveform
+//!   --cap N            state cap of every reachability-based oracle
+//!                      (defaults: check 100000, synth / verify 4000000,
+//!                      resolve 1000000 per candidate's acceptance oracle)
+//!   --shards N|auto    parallel explorer workers for every traversal
+//!                      (rounded up to a power of two, max 64; default 1)
+//!   --budget N         resolve: candidate-search budget (default 100000)
+//!   --strategy S       resolve: greedy | beam (default greedy)
+//!   --backend B        check / verify: explicit | symbolic | auto, which
+//!                      backend answers state counts and exact CSC checks
+//!   --timeout DUR      wall-clock budget (`500ms`, `2s`, `1m`; `--timeout-ms N`
+//!                      is the same); past it, and on Ctrl-C, every traversal
+//!                      winds down into a partial verdict with exit code 3
+//!   --profile[=tree|json], --progress DUR   span profile / heartbeats
 //! ```
 //!
 //! Exit codes: `0` success, `1` failure (violations found or a hard
@@ -105,18 +50,17 @@
 //! Ctrl-C — ran out before a definitive verdict; partial results are
 //! still reported).
 //!
-//! Every command drives one [`Engine`] session, so oracles that need the
-//! same artifact (the reachability graph, the structural context) compute
-//! it once.
+//! `check`, `synth`, `verify` and `resolve` are in-process clients of
+//! [`sisyn::serve::Service`]: each op's flow and report exist once, in
+//! the service, and the text printed here is rendered from the same body
+//! `--json` prints. `deadlock` and `dot` are local flows.
 
 use sisyn::prelude::*;
-use std::io::Read;
+use sisyn::serve::cli::{self, Args, ProfileFormat, EXIT_INCONCLUSIVE};
+use sisyn::serve::json::escape;
+use sisyn::serve::service::error_json;
+use std::fmt::Write as _;
 use std::process::ExitCode;
-use std::time::Duration;
-
-/// Exit code of an inconclusive run: the budget (state cap, `--timeout`
-/// deadline or Ctrl-C) ran out before a definitive verdict.
-const EXIT_INCONCLUSIVE: u8 = 3;
 
 /// The process-wide cancellation token cancelled by SIGINT (Ctrl-C):
 /// every oracle's budget carries a clone, so interrupting a long run
@@ -154,377 +98,18 @@ fn install_interrupt_handler() {
 #[cfg(not(unix))]
 fn install_interrupt_handler() {}
 
-/// How `--profile` renders the collected profile at process exit.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-enum ProfileFormat {
-    /// Human-readable span tree + metrics on stderr (the default).
-    Tree,
-    /// The profile JSON object: spliced into the final `--json` report
-    /// when one is emitted, printed alone on stdout otherwise.
-    Json,
-}
-
-struct Args {
-    command: String,
-    input: String,
-    output: Option<String>,
-    arch: Architecture,
-    stages: MinimizeStages,
-    minimizer: MinimizerChoice,
-    json: bool,
-    waveform: Option<usize>,
-    /// `--profile[=tree|json]`: turn the observability layer on and
-    /// render the profile when the command finishes.
-    profile: Option<ProfileFormat>,
-    /// `--progress DUR`: periodic exploration heartbeats on stderr.
-    progress: Option<Duration>,
-    /// `--cap`: one explicit cap for every oracle; `None` keeps the
-    /// per-command defaults.
-    cap: Option<usize>,
-    /// `--shards`: reachability shard workers (1 = sequential engine).
-    shards: usize,
-    /// `--budget`: candidate-search budget for `resolve`.
-    budget: usize,
-    /// `--strategy`: candidate-selection strategy for `resolve`.
-    strategy: Strategy,
-    /// `--timeout`: wall-clock budget for the run's state-space oracles.
-    timeout: Option<Duration>,
-    /// `--backend`: reachability backend for check/verify state queries.
-    backend: Backend,
-}
-
-impl Args {
-    /// The reachability options for an oracle whose default cap is
-    /// `default_cap` (overridden by `--cap`), sharded per `--shards`,
-    /// under the `--timeout` deadline and the SIGINT cancellation token.
-    fn reach(&self, default_cap: usize) -> ReachOptions {
-        let mut reach = ReachOptions::with_cap(self.cap.unwrap_or(default_cap))
-            .shards(self.shards)
-            .cancel(interrupt_token().clone());
-        if let Some(d) = self.timeout {
-            reach = reach.timeout(d);
-        }
-        reach
-    }
-
-    /// The synthesis options of this invocation.
-    fn synthesis(&self) -> SynthesisOptions {
-        SynthesisOptions {
-            architecture: self.arch,
-            stages: self.stages,
-            minimizer: self.minimizer,
-        }
-    }
-
-    /// The configured session over `stg`, with `default_cap` as the
-    /// `--cap` fallback.
-    fn engine<'a>(&self, stg: &'a Stg, default_cap: usize) -> Engine<'a> {
-        Engine::new(stg)
-            .reach(self.reach(default_cap))
-            .options(self.synthesis())
-            .backend(self.backend)
-    }
-}
-
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: sisyn <check|synth|verify|resolve|deadlock|dot|serve|submit> SPEC.g|SPEC.proto \
-         [-o FILE] [--arch complex|excitation|per-region] [--stages 0..4|full] \
-         [--minimizer espresso|exact|bdd|auto] [--json] [--waveform N] \
-         [--cap N] [--shards N|auto] [--budget N] [--strategy greedy|beam] \
-         [--timeout DUR] [--backend explicit|symbolic|auto] \
-         [--profile[=tree|json]] [--progress DUR]"
-    );
-    ExitCode::from(2)
-}
-
-/// Parses a `--timeout` duration: `500ms`, `2s`, `1m` or a plain number
-/// of milliseconds.
-fn parse_duration(s: &str) -> Option<Duration> {
-    let digits = s.len() - s.trim_start_matches(|c: char| c.is_ascii_digit()).len();
-    let (num, unit) = s.split_at(digits);
-    let n: u64 = num.parse().ok()?;
-    match unit {
-        "" | "ms" => Some(Duration::from_millis(n)),
-        "s" => Some(Duration::from_secs(n)),
-        "m" => Some(Duration::from_secs(n.checked_mul(60)?)),
-        _ => None,
-    }
-}
-
-fn parse_args() -> Result<Args, ExitCode> {
-    let mut argv = std::env::args().skip(1);
-    let command = argv.next().ok_or_else(usage)?;
-    let mut input = None;
-    let mut output = None;
-    let mut arch = Architecture::ExcitationFunction;
-    let mut stages = MinimizeStages::full();
-    let mut minimizer = MinimizerChoice::Espresso;
-    let mut json = false;
-    let mut waveform = None;
-    let mut cap = None;
-    let mut shards = 1usize;
-    let mut budget = 100_000usize;
-    let mut strategy = Strategy::Greedy;
-    let mut timeout = None;
-    let mut backend = Backend::Explicit;
-    let mut profile = None;
-    let mut progress = None;
-    while let Some(a) = argv.next() {
-        match a.as_str() {
-            "--profile" | "--profile=tree" => profile = Some(ProfileFormat::Tree),
-            "--profile=json" => profile = Some(ProfileFormat::Json),
-            "--progress" => {
-                let v = argv.next().ok_or_else(usage)?;
-                progress = Some(parse_duration(&v).ok_or_else(|| {
-                    eprintln!("bad --progress {v:?} (expected e.g. 500ms, 2s, 1m)");
-                    usage()
-                })?);
-            }
-            "-o" => output = Some(argv.next().ok_or_else(usage)?),
-            "--arch" => {
-                arch = match argv.next().ok_or_else(usage)?.as_str() {
-                    "complex" => Architecture::ComplexGate,
-                    "excitation" => Architecture::ExcitationFunction,
-                    "per-region" => Architecture::PerRegion,
-                    other => {
-                        eprintln!("unknown architecture {other:?}");
-                        return Err(usage());
-                    }
-                }
-            }
-            "--stages" => {
-                let v = argv.next().ok_or_else(usage)?;
-                stages = match v.as_str() {
-                    "full" => MinimizeStages::full(),
-                    "none" => MinimizeStages::none(),
-                    n => MinimizeStages::stage(n.parse().map_err(|_| usage())?),
-                }
-            }
-            "--minimizer" => {
-                minimizer = argv.next().ok_or_else(usage)?.parse().map_err(|e| {
-                    eprintln!("{e}");
-                    usage()
-                })?;
-            }
-            "--json" => json = true,
-            "--waveform" => {
-                waveform = Some(
-                    argv.next()
-                        .ok_or_else(usage)?
-                        .parse()
-                        .map_err(|_| usage())?,
-                )
-            }
-            "--cap" => {
-                let n: usize = argv
-                    .next()
-                    .ok_or_else(usage)?
-                    .parse()
-                    .map_err(|_| usage())?;
-                if n == 0 {
-                    eprintln!("--cap must be positive");
-                    return Err(usage());
-                }
-                cap = Some(n);
-            }
-            "--shards" => {
-                let v = argv.next().ok_or_else(usage)?;
-                shards = if v == "auto" {
-                    ReachOptions::auto(1).shards
-                } else {
-                    let n: usize = v.parse().map_err(|_| usage())?;
-                    if n == 0 {
-                        eprintln!("--shards must be positive (or `auto`)");
-                        return Err(usage());
-                    }
-                    n
-                };
-            }
-            "--budget" => {
-                budget = argv
-                    .next()
-                    .ok_or_else(usage)?
-                    .parse()
-                    .map_err(|_| usage())?;
-            }
-            "--strategy" => {
-                strategy = argv.next().ok_or_else(usage)?.parse().map_err(|e| {
-                    eprintln!("{e}");
-                    usage()
-                })?;
-            }
-            "--timeout" => {
-                let v = argv.next().ok_or_else(usage)?;
-                timeout = Some(parse_duration(&v).ok_or_else(|| {
-                    eprintln!("bad --timeout {v:?} (expected e.g. 500ms, 2s, 1m)");
-                    usage()
-                })?);
-            }
-            "--backend" => {
-                let v = argv.next().ok_or_else(usage)?;
-                backend = Backend::parse(&v).ok_or_else(|| {
-                    eprintln!("unknown backend {v:?} (expected explicit, symbolic or auto)");
-                    usage()
-                })?;
-            }
-            _ if input.is_none() => input = Some(a),
-            other => {
-                eprintln!("unexpected argument {other:?}");
-                return Err(usage());
-            }
-        }
-    }
-    Ok(Args {
-        command,
-        input: input.ok_or_else(usage)?,
-        output,
-        arch,
-        stages,
-        minimizer,
-        json,
-        waveform,
-        cap,
-        shards,
-        budget,
-        strategy,
-        timeout,
-        backend,
-        profile,
-        progress,
-    })
-}
-
-fn read_input(path: &str) -> std::io::Result<String> {
-    if path == "-" {
-        let mut s = String::new();
-        std::io::stdin().read_to_string(&mut s)?;
-        Ok(s)
-    } else {
-        std::fs::read_to_string(path)
-    }
-}
-
-/// Writes `content` to `-o FILE`, or to stdout when no file was given and
-/// plain-text mode is on (`--json` owns stdout otherwise).
-fn emit(args: &Args, content: &str) -> std::io::Result<()> {
-    match &args.output {
-        Some(path) => std::fs::write(path, content),
-        None if !args.json => {
-            print!("{content}");
-            Ok(())
-        }
-        None => Ok(()),
-    }
-}
-
-/// The stable CLI identifier of an architecture — the same vocabulary
-/// `--arch` accepts, so JSON reports round-trip into reproduction
-/// commands.
-fn arch_name(arch: Architecture) -> &'static str {
-    match arch {
-        Architecture::ComplexGate => "complex",
-        Architecture::ExcitationFunction => "excitation",
-        Architecture::PerRegion => "per-region",
-    }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// A structured `--json` error object: a stable machine-readable kind, a
-/// human-readable detail, and how far the exploration got before
-/// stopping (0 when no state space was involved).
-fn error_json(kind: &str, detail: &str, states_explored: usize) -> String {
-    format!(
-        "{{\"kind\": {}, \"detail\": {}, \"states_explored\": {}}}",
-        json_str(kind),
-        json_str(detail),
-        states_explored
-    )
-}
-
-/// The structured error object of a [`ReachError`]. The kind vocabulary
-/// matches [`InterruptReason`]'s stable identifiers (`cap-exceeded`,
-/// `deadline-expired`, `cancelled`, `memory-exhausted`) plus `not-safe`
-/// and `worker-panicked`.
-fn reach_error_json(e: &ReachError) -> String {
-    let (kind, states, elapsed_ms) = match e {
-        ReachError::StateCapExceeded { cap } => (InterruptReason::CapExceeded.as_str(), *cap, 0),
-        ReachError::Interrupted {
-            reason,
-            states_explored,
-            elapsed_ms,
-        } => (reason.as_str(), *states_explored, *elapsed_ms),
-        ReachError::WorkerPanicked { .. } => ("worker-panicked", 0, 0),
-        ReachError::NotSafe { .. } => ("not-safe", 0, 0),
-    };
-    format!(
-        "{{\"kind\": {}, \"detail\": {}, \"states_explored\": {}, \"elapsed_ms\": {}}}",
-        json_str(kind),
-        json_str(&e.to_string()),
-        states,
-        elapsed_ms
-    )
-}
-
-/// Prints a command's final `--json` report object to stdout. Under
-/// `--profile=json` the collected profile is spliced into the object as
-/// a `"profile"` key — the report is the last thing a command prints, so
-/// every phase span below the CLI's own has closed by then.
-fn print_json(args: &Args, body: &str) {
-    let body = body.trim_end();
-    if args.profile == Some(ProfileFormat::Json) && body.ends_with('}') {
-        println!(
-            "{}, \"profile\": {}}}",
-            &body[..body.len() - 1],
-            si_obs::render_json()
-        );
-    } else {
-        println!("{body}");
-    }
-}
-
-/// Exit code for a [`ReachError`]: inconclusive budget exhaustion gets
-/// its own code so scripts can tell "the circuit is broken" from "the
-/// analysis ran out of budget".
-fn reach_error_exit(e: &ReachError) -> ExitCode {
-    if e.is_inconclusive() {
-        ExitCode::from(EXIT_INCONCLUSIVE)
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
 fn main() -> ExitCode {
     install_interrupt_handler();
-    // The serve/submit subcommands own their flag vocabulary (socket
-    // endpoints, store sizing) — dispatch before the generic parser.
     let argv: Vec<String> = std::env::args().skip(1).collect();
+    // `serve` owns its flag vocabulary (endpoints, store sizing).
     match argv.first().map(String::as_str) {
-        Some("serve") => {
-            return ExitCode::from(sisyn::serve::cli::serve_main(&argv[1..], interrupt_token()))
-        }
-        Some("submit") => return ExitCode::from(sisyn::serve::cli::submit_main(&argv[1..])),
+        Some("serve") => return ExitCode::from(cli::serve_main(&argv[1..], interrupt_token())),
+        Some("submit") => return ExitCode::from(cli::submit_main(&argv[1..])),
         _ => {}
     }
-    let args = match parse_args() {
+    let args = match cli::parse_args(&argv, false) {
         Ok(a) => a,
-        Err(code) => return code,
+        Err(code) => return ExitCode::from(code),
     };
     if args.profile.is_some() {
         si_obs::set_enabled(true);
@@ -535,643 +120,137 @@ fn main() -> ExitCode {
     let code = run(&args);
     // The tree profile goes to stderr after the command wound down (its
     // top-level span has closed by now); the JSON profile was already
-    // spliced into the final `--json` report by `print_json`, or prints
-    // alone on stdout when no report owned stdout.
+    // spliced into the final `--json` report, or prints alone on stdout
+    // when no report owned stdout.
     match args.profile {
         Some(ProfileFormat::Tree) => si_obs::log_lines(&si_obs::render_tree()),
         Some(ProfileFormat::Json) if !args.json => println!("{}", si_obs::render_json()),
         _ => {}
     }
-    code
+    ExitCode::from(code)
 }
 
-/// The per-subcommand span names of the CLI layer — the profile tree's
-/// roots, so every child phase sums under one wall-clock total.
-fn cli_span(command: &str) -> &'static str {
-    match command {
+fn run(args: &Args) -> u8 {
+    // The CLI layer's span is the profile tree's root, so every child
+    // phase sums under one wall-clock total.
+    let span = match args.op.as_str() {
         "check" => "cli.check",
         "synth" => "cli.synth",
         "verify" => "cli.verify",
         "resolve" => "cli.resolve",
         "deadlock" => "cli.deadlock",
-        _ => "cli.other",
-    }
-}
-
-fn run(args: &Args) -> ExitCode {
-    let _span = si_obs::span(cli_span(&args.command));
-    let text = match read_input(&args.input) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {}: {e}", args.input);
-            return ExitCode::FAILURE;
-        }
-    };
-    // Protocol deadlock checking parses `.proto` CFSM systems, not `.g`
-    // STGs — dispatch before the STG parser. It runs on the explicit
-    // explorer only (the symbolic backend encodes Petri-net markings).
-    if args.command == "deadlock" {
-        if args.backend != Backend::Explicit {
-            eprintln!(
-                "--backend {}: deadlock checking runs on the explicit explorer only",
-                args.backend.as_str()
-            );
-            return usage();
-        }
-        return cmd_deadlock(&text, args);
-    }
-    let stg = match parse_g(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("parse error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    // `--json` is defined for the commands that emit a report; rejecting
-    // it elsewhere beats silently swallowing the artifact (`dot --json`
-    // would otherwise print nothing and exit 0).
-    if args.json && !matches!(args.command.as_str(), "synth" | "verify" | "resolve") {
-        eprintln!("--json is only supported for synth, verify, resolve and deadlock");
-        return usage();
-    }
-    // `--backend` selects who answers the state-space queries of check and
-    // verify; the other commands have no such query, so a stray flag is a
-    // mistake worth naming rather than ignoring.
-    if args.backend != Backend::Explicit && !matches!(args.command.as_str(), "check" | "verify") {
-        eprintln!("--backend is only supported for check and verify");
-        return usage();
-    }
-
-    match args.command.as_str() {
-        "check" => cmd_check(&stg, args),
-        "synth" => cmd_synth(&stg, args),
-        "verify" => cmd_verify(&stg, args),
-        "resolve" => cmd_resolve(&stg, args),
-        "dot" => {
-            let _ = emit(args, &stg_to_dot(&stg));
-            ExitCode::SUCCESS
-        }
-        _ => usage(),
-    }
-}
-
-fn cmd_check(stg: &sisyn::stg::Stg, args: &Args) -> ExitCode {
-    let engine = args.engine(stg, 100_000);
-    println!(
-        "model {}: {} signals, {} transitions, {} places, free-choice: {}",
-        stg.name(),
-        stg.signal_count(),
-        stg.net().transition_count(),
-        stg.net().place_count(),
-        stg.net().is_free_choice()
-    );
-    // Cheap default: the count is informational and the structural flow
-    // never needs the state graph, so don't burn time/memory on huge nets
-    // unless the user explicitly raises --cap (or picks a backend that
-    // counts without enumerating).
-    match engine.spec_state_count() {
-        Ok(n) if args.backend == Backend::Explicit => println!("reachable markings: {n}"),
-        Ok(n) => println!(
-            "reachable markings: {n} ({} backend)",
-            args.backend.as_str()
-        ),
-        Err(sisyn::petri::ReachError::StateCapExceeded { cap }) => println!(
-            "reachable markings: > {cap} (state cap exceeded — the \
-             structural flow does not need the state graph; pass a larger \
-             `--cap N` for exact counts, `--shards auto` to explore big \
-             state spaces in parallel, or `--backend symbolic` to count \
-             without enumerating)"
-        ),
-        Err(ReachError::Interrupted {
-            reason,
-            states_explored,
-            ..
-        }) => println!(
-            "reachable markings: >= {states_explored} (count interrupted: \
-             {reason} — the structural flow does not need the state graph)"
-        ),
-        Err(e) => {
-            println!("reachability: FAILED ({e})");
-            return ExitCode::FAILURE;
-        }
-    }
-    match check_live_safe_fc(stg.net()) {
-        sisyn::petri::StructuralCheck::Ok => println!("liveness/safeness: OK (Commoner)"),
+        "dot" => "cli.other",
         other => {
-            println!("liveness/safeness: FAILED {other:?}");
-            return ExitCode::FAILURE;
-        }
-    }
-    match StgAnalysis::analyze(stg) {
-        Ok(_) => println!("consistency: OK"),
-        Err(e) => {
-            println!("consistency: FAILED ({e})");
-            return ExitCode::FAILURE;
-        }
-    }
-    match engine.analyze() {
-        Ok(report) => {
-            println!(
-                "coding conflicts: {} (after {} refinement round(s))",
-                report.conflicts, report.refinement_rounds
-            );
-            match report.csc {
-                CscVerdict::UscHolds => println!("state coding: USC holds"),
-                CscVerdict::CscHolds => println!("state coding: CSC holds"),
-                CscVerdict::Unknown { places } => {
-                    // The structural verdict is conservative; a non-default
-                    // backend can settle it exactly from the reachable set
-                    // without enumerating states.
-                    if args.backend != Backend::Explicit {
-                        if let Ok(sym) = engine.symbolic() {
-                            match sym.has_csc() {
-                                Some(true) => {
-                                    println!(
-                                        "state coding: CSC holds (symbolic exact check; \
-                                         {} structural witness place(s) were false alarms)",
-                                        places.len()
-                                    );
-                                    return ExitCode::SUCCESS;
-                                }
-                                Some(false) => {
-                                    println!(
-                                        "state coding: CSC violation (symbolic exact \
-                                         check) — try `sisyn resolve`"
-                                    );
-                                    return ExitCode::FAILURE;
-                                }
-                                None => {}
-                            }
-                        }
-                    }
-                    println!(
-                        "state coding: possible CSC violation ({} witness place(s)) — try `sisyn resolve`",
-                        places.len()
-                    );
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        Err(e) => {
-            println!("structural analysis failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-fn cmd_synth(stg: &sisyn::stg::Stg, args: &Args) -> ExitCode {
-    let engine = args.engine(stg, 4_000_000);
-    match engine.synthesize() {
-        Ok(syn) => {
-            let mapped = map_circuit(&syn.circuit);
-            eprintln!(
-                "synthesized {} signal(s): {} literal units, {} transistor pairs",
-                syn.results.len(),
-                syn.literal_area,
-                mapped.area
-            );
-            if args.json {
-                print_json(
-                    args,
-                    &format!(
-                        "{{\"command\": \"synth\", \"ok\": true, \"model\": {}, \
-                     \"architecture\": {}, \"minimizer\": {}, \
-                     \"signals\": {}, \"literal_area\": {}, \"mapped_area\": {}, \
-                     \"place_cover_cubes\": {}, \"sm_count\": {}, \
-                     \"refinement_rounds\": {}}}",
-                        json_str(stg.name()),
-                        json_str(arch_name(args.arch)),
-                        json_str(args.minimizer.name()),
-                        syn.results.len(),
-                        syn.literal_area,
-                        mapped.area,
-                        syn.place_cover_cubes,
-                        syn.sm_count,
-                        syn.refinement_rounds,
-                    ),
-                );
-            }
-            let _ = emit(args, &to_verilog(stg, &syn.circuit));
-            if let Some(n) = args.waveform {
-                let (outcome, trace) = record_walk(stg, &syn.circuit, n, 1);
-                eprintln!("simulation: {outcome:?}");
-                eprint!("{}", sisyn::stg::render_waveform(stg, &trace));
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("synthesis failed: {e}");
-            if args.json {
-                print_json(
-                    args,
-                    &format!(
-                        "{{\"command\": \"synth\", \"ok\": false, \"model\": {}, \"error\": {}}}",
-                        json_str(stg.name()),
-                        error_json(synthesis_error_kind(&e), &e.to_string(), 0),
-                    ),
-                );
-            }
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// The stable machine-readable kind of a synthesis error.
-fn synthesis_error_kind(e: &sisyn::core::SynthesisError) -> &'static str {
-    match e {
-        sisyn::core::SynthesisError::WorkerPanicked { .. } => "worker-panicked",
-        _ => "synthesis-failed",
-    }
-}
-
-fn cmd_verify(stg: &sisyn::stg::Stg, args: &Args) -> ExitCode {
-    // One session: the graph built for the functional oracle doubles as
-    // the conformance probe, so the state space is explored once.
-    let engine = args.engine(stg, 4_000_000);
-    let syn = match engine.synthesize() {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("synthesis failed: {e}");
-            if args.json {
-                print_json(
-                    args,
-                    &format!(
-                        "{{\"command\": \"verify\", \"ok\": false, \"model\": {}, \"error\": {}}}",
-                        json_str(stg.name()),
-                        error_json(synthesis_error_kind(&e), &e.to_string(), 0),
-                    ),
-                );
-            }
-            return ExitCode::FAILURE;
+            eprintln!("unknown command {other:?}");
+            return cli::usage();
         }
     };
-    let functional = match engine.verify(&syn.circuit) {
-        Ok(report) => report,
-        Err(e) => {
-            if e.is_inconclusive() {
-                eprintln!(
-                    "verification inconclusive: {e} — state-based \
-                     verification needs the full reachability graph; pass \
-                     a larger `--cap N` / `--timeout DUR` to raise the \
-                     budget (and `--shards auto` to build the graph in \
-                     parallel)"
-                );
-            } else {
-                eprintln!("verification failed: {e}");
-            }
-            if args.json {
-                print_json(
-                    args,
-                    &format!(
-                        "{{\"command\": \"verify\", \"ok\": false, \
-                     \"inconclusive\": {}, \"model\": {}, \"error\": {}}}",
-                        e.is_inconclusive(),
-                        json_str(stg.name()),
-                        reach_error_json(&e),
-                    ),
-                );
-            }
-            return reach_error_exit(&e);
-        }
+    let _span = si_obs::span(span);
+    // `dot` has no report; `--json` would swallow its only output.
+    if args.json && args.op == "dot" {
+        eprintln!("--json is only supported for check, synth, verify, resolve and deadlock");
+        return cli::usage();
+    }
+    let text = match cli::read_spec(args) {
+        Ok(t) => t,
+        Err(code) => return code,
     };
-    let conformance = match engine.check_conformance(&syn.circuit) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("conformance check failed: {e}");
-            if args.json {
-                print_json(
-                    args,
-                    &format!(
-                        "{{\"command\": \"verify\", \"ok\": false, \
-                     \"inconclusive\": {}, \"model\": {}, \"error\": {}}}",
-                        e.is_inconclusive(),
-                        json_str(stg.name()),
-                        reach_error_json(&e),
-                    ),
-                );
-            }
-            return reach_error_exit(&e);
-        }
-    };
-    let sim = random_walks(stg, &syn.circuit, 4, 4000, 7);
-    let verdict = |ok: bool, conclusive: bool| match (ok, conclusive) {
-        (false, _) => "FAILED",
-        (true, true) => "OK",
-        (true, false) => "OK so far (partial)",
-    };
-    let summary = format!(
-        "functional+monotonic: {} ({} states) | conformance: {} ({} states) | random walks: {}",
-        verdict(functional.is_ok(), functional.is_conclusive()),
-        functional.states_checked,
-        verdict(conformance.is_ok(), conformance.is_conclusive()),
-        conformance.states_explored,
-        if sim.is_clean() { "OK" } else { "FAILED" },
-    );
-    // `--json` owns stdout; the human summary moves to stderr there.
-    if args.json {
-        eprintln!("{summary}");
-    } else {
-        println!("{summary}");
-    }
-    // Partial verdicts: the budget (cap / --timeout / Ctrl-C) stopped an
-    // exploration early. Name what ran out and how far the check got —
-    // "no violation in the N states explored" is a verdict about a
-    // prefix, not the whole space.
-    if let Some(i) = functional.interrupted {
-        eprintln!(
-            "functional verification inconclusive ({}): no violation in \
-             the {} states explored — raise `--timeout DUR` for a \
-             definitive verdict",
-            i.reason, i.states_explored
-        );
-    }
-    if let Some(i) = conformance.interrupted {
-        eprintln!(
-            "conformance inconclusive ({}): no failure in the {} product \
-             states explored — pass a larger `--cap N` / `--timeout DUR` \
-             to raise the budget (and `--shards auto` to explore the \
-             product in parallel)",
-            i.reason, i.states_explored
-        );
-    }
-    // A failing check comes with a firing-sequence counterexample from the
-    // explorer's witness machinery; print it as transition names.
-    let trace = functional.trace.as_ref().or(conformance.trace.as_ref());
-    if let Some(trace) = trace {
-        let names: Vec<&str> = trace
-            .iter()
-            .map(|&t| stg.net().transition_name(t))
-            .collect();
-        eprintln!(
-            "counterexample ({} firings from the initial state): {}",
-            names.len(),
-            names.join(" ")
-        );
-    }
-    // The spec's reachable-state count via the selected backend: the
-    // cached explicit graph under the default, the BDD reachable set
-    // under `--backend symbolic` (where the CI smoke cross-checks the two
-    // spellings report the same number).
-    let spec_states = engine.spec_state_count().ok();
-    let symbolic_stats = (args.backend == Backend::Symbolic)
-        .then(|| {
-            engine
-                .symbolic_reach()
-                .ok()
-                .map(|s| (s.iterations(), s.peak_nodes()))
-        })
-        .flatten();
-    if let Some((iterations, peak_nodes)) = symbolic_stats {
-        eprintln!(
-            "symbolic backend: {} spec state(s) in {iterations} iteration(s), \
-             peak {peak_nodes} BDD node(s)",
-            spec_states.map_or("?".to_string(), |n| n.to_string()),
-        );
-    }
-    let failed = !functional.is_ok() || !conformance.is_ok() || !sim.is_clean();
-    let inconclusive = !functional.is_conclusive() || !conformance.is_conclusive();
-    let ok = !failed && !inconclusive;
-    if args.json {
-        let trace_json = match trace {
-            None => "null".to_string(),
-            Some(ts) => format!(
-                "[{}]",
-                ts.iter()
-                    .map(|&t| json_str(stg.net().transition_name(t)))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ),
-        };
-        let spec_states_json = spec_states.map_or("null".to_string(), |n| n.to_string());
-        let symbolic_json = symbolic_stats.map_or("null".to_string(), |(iterations, peak)| {
-            format!("{{\"iterations\": {iterations}, \"peak_nodes\": {peak}}}")
-        });
-        print_json(
-            args,
-            &format!(
-                "{{\"command\": \"verify\", \"ok\": {}, \"inconclusive\": {}, \"model\": {}, \
-             \"backend\": {}, \"spec_states\": {spec_states_json}, \
-             \"symbolic\": {symbolic_json}, \
-             \"functional_ok\": {}, \"violations\": {}, \"states_checked\": {}, \
-             \"conformance_ok\": {}, \"conformance_failures\": {}, \
-             \"states_explored\": {}, \"trace\": {}, \"random_walks_ok\": {}, \
-             \"literal_area\": {}, \"minimizer\": {}}}",
-                ok,
-                inconclusive,
-                json_str(stg.name()),
-                json_str(args.backend.as_str()),
-                functional.is_ok(),
-                functional.violations.len(),
-                functional.states_checked,
-                conformance.is_ok(),
-                conformance.failures.len(),
-                conformance.states_explored,
-                trace_json,
-                sim.is_clean(),
-                syn.literal_area,
-                json_str(args.minimizer.name()),
-            ),
-        );
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else if inconclusive {
-        ExitCode::from(EXIT_INCONCLUSIVE)
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-/// The per-candidate search statistics as a JSON object fragment.
-fn stats_json(stats: &ResolveStats) -> String {
-    let interrupted = match stats.interrupted {
-        None => "null".to_string(),
-        Some(i) => format!(
-            "{{\"reason\": {}, \"candidates_evaluated\": {}}}",
-            json_str(i.reason.as_str()),
-            i.states_explored
-        ),
-    };
-    format!(
-        "{{\"strategy\": {}, \"cores\": {}, \"candidates_generated\": {}, \
-         \"candidates_evaluated\": {}, \"candidates_rejected\": {}, \
-         \"candidates_panicked\": {}, \"oracle_calls\": {}, \
-         \"oracle_rejected\": {}, \"interrupted\": {interrupted}, \
-         \"wall_ms\": {:.3}}}",
-        json_str(stats.strategy.name()),
-        stats.cores,
-        stats.generated,
-        stats.evaluated,
-        stats.rejected,
-        stats.panicked,
-        stats.oracle_calls,
-        stats.oracle_rejected,
-        stats.wall_ms,
-    )
-}
-
-/// Renders an accepted insertion plan over the *input* STG's node names
-/// (`null` for the no-conflict sentinel plan).
-fn plan_json(stg: &sisyn::stg::Stg, plan: &InsertionPlan) -> String {
-    if plan.rise_split == plan.fall_split {
-        return "null".to_string(); // sentinel: input already satisfied CSC
-    }
-    let net = stg.net();
-    let waits = plan
-        .rise_waits
-        .iter()
-        .map(|&(t, marked)| {
-            format!(
-                "{{\"after\": {}, \"marked\": {marked}}}",
-                json_str(&stg.transition_display(t))
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!(
-        "{{\"rise_split\": {}, \"fall_split\": {}, \"rise_waits\": [{waits}]}}",
-        json_str(net.place_name(plan.rise_split)),
-        json_str(net.place_name(plan.fall_split)),
-    )
-}
-
-fn cmd_resolve(stg: &sisyn::stg::Stg, args: &Args) -> ExitCode {
-    // `--cap`/`--shards` govern the behavioural acceptance oracle (like
-    // every other reachability-based oracle); `--budget` bounds the
-    // candidate search, which is a search bound, not a state cap.
-    let engine = args.engine(stg, 1_000_000);
-    let options = CscOptions::default()
-        .budget(args.budget)
-        .strategy(args.strategy)
-        .reach(args.reach(1_000_000));
-    let outcome = engine.resolve_csc_outcome(&options);
-    let stats = &outcome.stats;
-    eprintln!(
-        "search[{}]: {} core(s), {} candidate(s) generated, {} evaluated, \
-         {} rejected, {} oracle call(s), {:.1} ms",
-        stats.strategy.name(),
-        stats.cores,
-        stats.generated,
-        stats.evaluated,
-        stats.rejected,
-        stats.oracle_calls,
-        stats.wall_ms,
-    );
-    match outcome.resolution {
-        Some(resolution) => {
-            eprintln!(
-                "resolved: {} -> {} signals",
-                stg.signal_count(),
-                resolution.stg.signal_count()
-            );
-            if args.json {
-                print_json(
-                    args,
-                    &format!(
-                        "{{\"command\": \"resolve\", \"ok\": true, \"model\": {}, \
-                     \"signals_before\": {}, \"signals_after\": {}, \
-                     \"plan\": {}, \"cost\": {}, \"stats\": {}}}",
-                        json_str(stg.name()),
-                        stg.signal_count(),
-                        resolution.stg.signal_count(),
-                        plan_json(stg, &resolution.plan),
-                        resolution.cost,
-                        stats_json(stats),
-                    ),
-                );
-            }
-            let _ = emit(args, &write_g(&resolution.stg));
-            ExitCode::SUCCESS
-        }
-        None => {
-            let (kind, detail) = match stats.interrupted {
-                Some(i) => {
-                    eprintln!(
-                        "search interrupted ({}): no resolution among the \
-                         {} candidate(s) evaluated before the budget ran \
-                         out — raise `--timeout DUR` (or don't Ctrl-C) \
-                         for a definitive answer",
-                        i.reason, i.states_explored
-                    );
-                    (
-                        i.reason.as_str(),
-                        "candidate search interrupted before a resolution was found",
-                    )
-                }
+    match args.op.as_str() {
+        "deadlock" => cmd_deadlock(&text, args),
+        "dot" => match parse_g(&text) {
+            Ok(stg) => match &args.output {
+                Some(path) => std::fs::write(path, stg_to_dot(&stg)).map_or_else(
+                    |e| {
+                        eprintln!("cannot write {path}: {e}");
+                        1
+                    },
+                    |()| 0,
+                ),
                 None => {
-                    eprintln!("no single-signal insertion found within budget");
-                    (
-                        "no-resolution",
-                        "no single-signal insertion found within budget",
-                    )
+                    print!("{}", stg_to_dot(&stg));
+                    0
                 }
-            };
-            if args.json {
-                print_json(
-                    args,
-                    &format!(
-                        "{{\"command\": \"resolve\", \"ok\": false, \
-                     \"inconclusive\": {}, \"model\": {}, \"error\": {}, \
-                     \"stats\": {}}}",
-                        stats.interrupted.is_some(),
-                        json_str(stg.name()),
-                        error_json(kind, detail, stats.evaluated),
-                        stats_json(stats),
-                    ),
-                );
+            },
+            Err(e) => {
+                eprintln!("parse error: {e}");
+                1
             }
-            if stats.interrupted.is_some() {
-                ExitCode::from(EXIT_INCONCLUSIVE)
-            } else {
-                ExitCode::FAILURE
+        },
+        _ => {
+            let code = cli::run_local(args, &text, interrupt_token());
+            match args.waveform {
+                Some(steps) if args.op == "synth" && code == 0 => waveform(&text, args, steps),
+                _ => code,
             }
         }
     }
 }
 
-fn cmd_deadlock(text: &str, args: &Args) -> ExitCode {
+/// `synth --waveform N`: simulates the synthesized circuit for `steps`
+/// random firings and prints the waveform on stderr.
+fn waveform(text: &str, args: &Args, steps: usize) -> u8 {
+    let stg = parse_g(text).expect("the spec parsed for synth");
+    match Engine::new(&stg)
+        .options(args.request.synthesis())
+        .synthesize()
+    {
+        Ok(syn) => {
+            let (outcome, trace) = record_walk(&stg, &syn.circuit, steps, 1);
+            eprintln!("simulation: {outcome:?}");
+            eprint!("{}", sisyn::stg::render_waveform(&stg, &trace));
+            0
+        }
+        Err(e) => {
+            eprintln!("synthesis failed: {e}");
+            1
+        }
+    }
+}
+
+fn cmd_deadlock(text: &str, args: &Args) -> u8 {
     let sys = match parse_proto(text) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("parse error: {e}");
-            return ExitCode::FAILURE;
+            return 1;
         }
     };
-    let report = match check_deadlock_with(&sys, args.reach(sisyn::proto::DEFAULT_CAP)) {
+    let reach = args
+        .request
+        .reach(sisyn::proto::DEFAULT_CAP)
+        .cancel(interrupt_token().clone());
+    let head = "{\"command\": \"deadlock\", \"ok\": ";
+    let report = match check_deadlock_with(&sys, reach) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("deadlock check failed: {e}");
             if args.json {
-                print_json(
+                let error = error_json("worker-panicked", &e.to_string(), 0);
+                cli::print_json(
                     args,
                     &format!(
-                        "{{\"command\": \"deadlock\", \"ok\": false, \
-                     \"inconclusive\": false, \"model\": {}, \"error\": {}}}",
-                        json_str(sys.name()),
-                        error_json("worker-panicked", &e.to_string(), 0),
+                        "{head}false, \"inconclusive\": false, \"model\": {}, \"error\": {error}}}",
+                        escape(sys.name()),
                     ),
                 );
             }
-            return ExitCode::FAILURE;
+            return 1;
         }
     };
 
     // Human report on stdout (stderr when --json owns stdout) — one
     // summary line, then the counterexample as an action sequence.
     let mut human = String::new();
-    let verdict = if !report.is_ok() {
-        "FAILED"
-    } else if report.is_conclusive() {
-        "OK"
-    } else {
-        "OK so far (partial)"
+    let verdict = match (report.is_ok(), report.is_conclusive()) {
+        (false, _) => "FAILED",
+        (true, true) => "OK",
+        (true, false) => "OK so far (partial)",
     };
-    human.push_str(&format!(
+    let _ = writeln!(
+        human,
         "model {}: {} modules, {} channels\n\
          deadlock check: {verdict} ({} deadlock(s), {} dangling send(s), \
-         {} overflow(s) in {} states)\n",
+         {} overflow(s) in {} states)",
         sys.name(),
         sys.modules().len(),
         sys.channels().len(),
@@ -1179,77 +258,63 @@ fn cmd_deadlock(text: &str, args: &Args) -> ExitCode {
         report.dangling_sends(),
         report.overflows(),
         report.states_explored,
-    ));
+    );
     if let Some(first) = report.violations.first() {
-        human.push_str(&format!(
-            "first violation ({}): {}\n  at state: {}\n",
+        let _ = writeln!(
+            human,
+            "first violation ({}): {}\n  at state: {}",
             first.violation.kind(),
             first.violation.render(&sys),
             first.state.render(&sys),
-        ));
+        );
     }
     if let Some(trace) = &report.trace {
-        human.push_str(&format!(
-            "counterexample ({} action(s) from the initial state):\n",
+        let _ = writeln!(
+            human,
+            "counterexample ({} action(s) from the initial state):",
             trace.len()
-        ));
+        );
         for step in trace {
-            human.push_str(&format!("  {step}\n"));
+            let _ = writeln!(human, "  {step}");
         }
     }
-    if let Some(i) = report.interrupted {
-        if report.is_ok() {
-            human.push_str(&format!(
-                "inconclusive ({}): no violation in the {} states explored — \
-                 raise `--cap N` / `--timeout DUR` for a definitive verdict \
-                 (and `--shards auto` to explore in parallel)\n",
-                i.reason, i.states_explored
-            ));
-        }
+    // A clean-but-interrupted run carries the same structured error
+    // object as the other inconclusive commands.
+    let mut error = "null".to_string();
+    if let Some(i) = report.interrupted.filter(|_| report.is_ok()) {
+        let _ = writeln!(
+            human,
+            "inconclusive ({}): no violation in the {} states explored — \
+             raise `--cap N` / `--timeout DUR` for a definitive verdict \
+             (and `--shards auto` to explore in parallel)",
+            i.reason, i.states_explored
+        );
+        let detail = format!("deadlock check interrupted: {i}");
+        error = error_json(i.reason.as_str(), &detail, i.states_explored);
     }
-    if args.json {
-        eprint!("{human}");
-    } else {
+    if !args.json {
         print!("{human}");
-    }
-
-    if args.json {
-        let trace_json = match &report.trace {
-            None => "null".to_string(),
-            Some(ts) => format!(
-                "[{}]",
-                ts.iter()
-                    .map(|s| json_str(s))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ),
-        };
-        let state_json = report
+    } else {
+        eprint!("{human}");
+        let trace = report.trace.as_ref().map_or("null".to_string(), |ts| {
+            let steps: Vec<String> = ts.iter().map(|s| escape(s)).collect();
+            format!("[{}]", steps.join(", "))
+        });
+        let state = report
             .violations
             .first()
-            .map_or("null".to_string(), |v| json_str(&v.state.render(&sys)));
-        // A clean-but-interrupted run carries the same structured error
-        // object as the other inconclusive commands (kind matches
-        // InterruptReason's stable identifiers).
-        let error_json_field = match report.interrupted {
-            Some(i) if report.is_ok() => error_json(
-                i.reason.as_str(),
-                &format!("deadlock check interrupted: {i}"),
-                i.states_explored,
-            ),
-            _ => "null".to_string(),
-        };
-        print_json(
+            .map_or("null".to_string(), |v| escape(&v.state.render(&sys)));
+        cli::print_json(
             args,
             &format!(
-                "{{\"command\": \"deadlock\", \"ok\": {}, \"inconclusive\": {}, \
+                "{head}{}, \"inconclusive\": {}, \
              \"model\": {}, \"modules\": {}, \"channels\": {}, \
              \"states_explored\": {}, \"violations\": {}, \"deadlocks\": {}, \
-             \"dangling_sends\": {}, \"overflows\": {}, \"state\": {}, \
-             \"trace\": {}, \"error\": {}}}",
+             \"dangling_sends\": {}, \"overflows\": {}, \"state\": {state}, \
+             \"trace\": {trace}, \"error\": {error}}}",
                 report.is_ok() && report.is_conclusive(),
                 !report.is_conclusive(),
-                json_str(sys.name()),
+                escape(sys.name()),
                 sys.modules().len(),
                 sys.channels().len(),
                 report.states_explored,
@@ -1257,17 +322,12 @@ fn cmd_deadlock(text: &str, args: &Args) -> ExitCode {
                 report.deadlocks(),
                 report.dangling_sends(),
                 report.overflows(),
-                state_json,
-                trace_json,
-                error_json_field,
             ),
         );
     }
-    if !report.is_ok() {
-        ExitCode::FAILURE
-    } else if !report.is_conclusive() {
-        ExitCode::from(EXIT_INCONCLUSIVE)
-    } else {
-        ExitCode::SUCCESS
+    match (report.is_ok(), report.is_conclusive()) {
+        (false, _) => 1,
+        (true, false) => EXIT_INCONCLUSIVE,
+        (true, true) => 0,
     }
 }

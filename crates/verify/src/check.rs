@@ -176,55 +176,25 @@ pub fn verify_circuit_with(
     si_core::Engine::new(stg).reach(reach).verify(circuit)
 }
 
-/// Verification over a **prebuilt** reachability graph and encoding — the
-/// form the [`si_core::Engine`] artifact cache calls (via
-/// [`crate::EngineVerify`]) so a synth-then-verify pipeline explores the
-/// state space once. Sequential; see [`verify_circuit_on_with`] for the
-/// sharded walk.
-pub fn verify_circuit_on(
-    stg: &Stg,
-    circuit: &Circuit,
-    rg: &ReachabilityGraph,
-    enc: &StateEncoding,
-) -> VerificationReport {
-    verify_circuit_on_with(stg, circuit, rg, enc, 1)
-}
-
-/// Like [`verify_circuit_on`], walking the graph with `shards` parallel
-/// explorer workers (`<= 1` = sequential). The violation list is
+/// Verification over a **prebuilt** reachability graph and encoding —
+/// the form [`crate::EngineVerify::verify`] calls over the
+/// [`si_core::Engine`] artifact cache, so a synth-then-verify pipeline
+/// explores the state space once. The violation search runs under
+/// `reach`'s shard count **and** soft budget (deadline, cancellation) —
+/// exhausting a soft limit returns a partial report tagged
+/// [`VerificationReport::interrupted`] instead of aborting. The budget's
+/// state *cap* is ignored here: the walk is bounded by the graph, whose
+/// construction the cap already governed. The violation list is
 /// identical at any shard count; the counterexample trace is always a
 /// valid firing sequence to `violations[0].at_state()` but may differ
 /// between runs (any witness is a witness).
-pub fn verify_circuit_on_with(
-    stg: &Stg,
-    circuit: &Circuit,
-    rg: &ReachabilityGraph,
-    enc: &StateEncoding,
-    shards: usize,
-) -> VerificationReport {
-    verify_circuit_on_opts(
-        stg,
-        circuit,
-        rg,
-        enc,
-        &si_petri::ReachOptions::with_cap(usize::MAX).shards(shards),
-    )
-    .expect("an ungoverned verify walk cannot fail")
-}
-
-/// The full-control form of [`verify_circuit_on`]: the violation search
-/// over the prebuilt graph runs under `reach`'s shard count **and** soft
-/// budget (deadline, cancellation) — exhausting a soft limit returns a
-/// partial report tagged [`VerificationReport::interrupted`] instead of
-/// aborting. The budget's state *cap* is ignored here: the walk is
-/// bounded by the graph, whose construction the cap already governed.
 ///
 /// # Errors
 ///
 /// [`si_petri::ReachError::WorkerPanicked`] when a sharded explorer
 /// worker panicked (only observable with fault injection or a broken
 /// space — panics are isolated per worker and surface structurally).
-pub fn verify_circuit_on_opts(
+pub(crate) fn verify_on(
     stg: &Stg,
     circuit: &Circuit,
     rg: &ReachabilityGraph,
@@ -383,6 +353,11 @@ mod tests {
     use si_core::{synthesize, Architecture, MinimizeStages, SynthesisOptions};
     use si_stg::benchmarks;
 
+    /// An ungoverned violation search over a prebuilt graph at `shards`.
+    fn walk(shards: usize) -> si_petri::ReachOptions {
+        si_petri::ReachOptions::with_cap(usize::MAX).shards(shards)
+    }
+
     #[test]
     fn synthesized_toggle_verifies() {
         let stg = si_stg::parse_g(
@@ -471,7 +446,7 @@ y- x+
         let rg = ReachabilityGraph::build(stg.net(), 100_000).unwrap();
         let enc = StateEncoding::compute(&stg, &rg).unwrap();
         for shards in [1, 4] {
-            let report = verify_circuit_on_with(&stg, &syn.circuit, &rg, &enc, shards);
+            let report = verify_on(&stg, &syn.circuit, &rg, &enc, &walk(shards)).unwrap();
             assert!(!report.is_ok());
             let trace = report.trace.as_ref().expect("violations come with a trace");
             // Replay the firing sequence on the net: it must be enabled at
@@ -507,9 +482,9 @@ y- x+
             inverted: false,
         };
         for circuit in [&syn.circuit, &broken] {
-            let seq = verify_circuit_on_with(&stg, circuit, &rg, &enc, 1);
+            let seq = verify_on(&stg, circuit, &rg, &enc, &walk(1)).unwrap();
             for shards in [2, 4, 8] {
-                let par = verify_circuit_on_with(&stg, circuit, &rg, &enc, shards);
+                let par = verify_on(&stg, circuit, &rg, &enc, &walk(shards)).unwrap();
                 assert_eq!(seq.violations, par.violations);
                 assert_eq!(seq.states_checked, par.states_checked);
                 assert_eq!(seq.is_ok(), par.is_ok());

@@ -6,7 +6,7 @@
 //! import [`EngineVerify`] (it is in `sisyn::prelude`) and the whole flow
 //! reads as methods on one session object.
 
-use crate::check::{verify_circuit_on_opts, VerificationReport};
+use crate::check::{verify_on, VerificationReport};
 use crate::conform::{engine_conformance, ConformanceReport};
 use si_core::{Circuit, Engine};
 use si_petri::ReachError;
@@ -69,7 +69,7 @@ impl EngineVerify for Engine<'_> {
     fn verify(&self, circuit: &Circuit) -> Result<VerificationReport, ReachError> {
         let rg = self.reachability()?;
         let enc = self.encoding()?;
-        verify_circuit_on_opts(self.stg(), circuit, rg, enc, &self.reach_options())
+        verify_on(self.stg(), circuit, rg, enc, &self.reach_options())
     }
 
     fn check_conformance(&self, circuit: &Circuit) -> Result<ConformanceReport, ReachError> {

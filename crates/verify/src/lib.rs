@@ -50,10 +50,7 @@ mod conform;
 mod engine_ext;
 mod sim;
 
-pub use check::{
-    verify_circuit, verify_circuit_on, verify_circuit_on_opts, verify_circuit_on_with,
-    verify_circuit_with, VerificationReport, Violation,
-};
+pub use check::{verify_circuit, verify_circuit_with, VerificationReport, Violation};
 pub use conform::{
     check_conformance, check_conformance_with, ConformanceFailure, ConformanceReport,
 };
