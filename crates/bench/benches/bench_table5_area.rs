@@ -2,7 +2,7 @@
 //! baseline on the fixed benchmark set (throughput of the complete flows).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use si_core::{synthesize, synthesize_state_based, BaselineFlavor, SynthesisOptions};
+use si_core::{synthesize, BaselineFlavor, Engine, SynthesisOptions};
 
 fn bench_flows(c: &mut Criterion) {
     let mut g = c.benchmark_group("table5_flows");
@@ -19,7 +19,9 @@ fn bench_flows(c: &mut Criterion) {
         bench.iter(|| {
             for stg in &suite {
                 std::hint::black_box(
-                    synthesize_state_based(stg, BaselineFlavor::ExcitationExact, 1_000_000)
+                    Engine::new(stg)
+                        .cap(1_000_000)
+                        .synthesize_state_based(BaselineFlavor::ExcitationExact)
                         .unwrap(),
                 );
             }

@@ -2,7 +2,7 @@
 //! generalized C-latch family (|RG| = 2^(n+1)).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use si_core::{synthesize, synthesize_state_based, BaselineFlavor, SynthesisOptions};
+use si_core::{synthesize, BaselineFlavor, Engine, SynthesisOptions};
 
 fn bench_crossover(c: &mut Criterion) {
     let mut g = c.benchmark_group("table6_crossover");
@@ -17,7 +17,9 @@ fn bench_crossover(c: &mut Criterion) {
         if n <= 10 {
             g.bench_with_input(BenchmarkId::new("state_based", n), &stg, |bench, stg| {
                 bench.iter(|| {
-                    synthesize_state_based(stg, BaselineFlavor::ComplexGateExact, 10_000_000)
+                    Engine::new(stg)
+                        .cap(10_000_000)
+                        .synthesize_state_based(BaselineFlavor::ComplexGateExact)
                         .unwrap()
                 })
             });

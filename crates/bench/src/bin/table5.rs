@@ -8,8 +8,7 @@
 
 use si_bench::{marking_count, small_set};
 use si_core::{
-    map_circuit, synthesize, synthesize_state_based, Architecture, BaselineFlavor, MinimizeStages,
-    SynthesisOptions,
+    map_circuit, synthesize, Architecture, BaselineFlavor, Engine, MinimizeStages, SynthesisOptions,
 };
 
 fn main() {
@@ -22,9 +21,12 @@ fn main() {
 
     let (mut tot_syn, mut tot_fcg, mut tot_semi, mut tot_full) = (0usize, 0usize, 0usize, 0usize);
     for stg in small_set() {
-        let syn_like = synthesize_state_based(&stg, BaselineFlavor::ExcitationExact, 1_000_000)
+        let engine = Engine::new(&stg).cap(1_000_000);
+        let syn_like = engine
+            .synthesize_state_based(BaselineFlavor::ExcitationExact)
             .expect("baseline");
-        let fcg_like = synthesize_state_based(&stg, BaselineFlavor::ComplexGateExact, 1_000_000)
+        let fcg_like = engine
+            .synthesize_state_based(BaselineFlavor::ComplexGateExact)
             .expect("baseline");
         let semi = synthesize(
             &stg,

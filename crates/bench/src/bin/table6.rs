@@ -6,7 +6,7 @@
 //! ("mem-out"), with the crossover at small sizes.
 
 use si_bench::{fmt_duration, time};
-use si_core::{synthesize, synthesize_state_based, BaselineFlavor, SynthesisOptions};
+use si_core::{synthesize, BaselineFlavor, Engine, SynthesisOptions};
 
 fn main() {
     let header = format!(
@@ -32,10 +32,10 @@ fn main() {
     for stg in cases {
         let (structural, t_structural) = time(|| synthesize(&stg, &SynthesisOptions::default()));
         structural.expect("structural flow");
-        let (sis, t_sis) =
-            time(|| synthesize_state_based(&stg, BaselineFlavor::ComplexGateExact, CAP));
-        let (assassin, t_assassin) =
-            time(|| synthesize_state_based(&stg, BaselineFlavor::ExcitationExact, CAP));
+        // A fresh session per flavor: each time includes its graph build.
+        let baseline = |flavor| Engine::new(&stg).cap(CAP).synthesize_state_based(flavor);
+        let (sis, t_sis) = time(|| baseline(BaselineFlavor::ComplexGateExact));
+        let (assassin, t_assassin) = time(|| baseline(BaselineFlavor::ExcitationExact));
         let fmt = |r: &Result<si_core::BaselineSynthesis, si_core::BaselineError>,
                    t: std::time::Duration| match r {
             Ok(_) => fmt_duration(t),

@@ -2,10 +2,10 @@
 //! verified to be speed independent". Runs every benchmark through every
 //! architecture, then through the three independent verifiers — over one
 //! [`Engine`] session per benchmark, so the reachability graph behind the
-//! six verifier calls is built once per STG, not once per (arch, verifier).
+//! nine verifier calls is built once per STG, not once per (arch, verifier).
 
 use si_core::{Architecture, Engine, MinimizeStages, SynthesisOptions};
-use si_verify::{random_walks, EngineVerify};
+use si_verify::EngineVerify;
 
 fn main() {
     let header = format!(
@@ -16,10 +16,9 @@ fn main() {
     si_bench::rule(&header);
     let mut failures = 0usize;
     for stg in si_bench::small_set() {
-        // The historical functional-verification cap (verify_circuit's
-        // 4M); conformance products on the small set are far below it, so
-        // one cap serves both oracles without narrowing either.
-        let engine = Engine::new(&stg).cap(4_000_000);
+        // Conformance products on the small set are far below the default
+        // 4M cap, so one cap serves every oracle without narrowing any.
+        let engine = Engine::new(&stg);
         for (label, arch) in [
             ("complex", Architecture::ComplexGate),
             ("excitation", Architecture::ExcitationFunction),
@@ -53,7 +52,9 @@ fn main() {
                 }
             };
             let conform = engine.check_conformance(&syn.circuit).is_ok();
-            let sim = random_walks(&stg, &syn.circuit, 4, 2000, 2024).is_clean();
+            let sim = engine
+                .random_walks(&syn.circuit, 4, 2000, 2024)
+                .is_ok_and(|w| w.is_clean());
             if !(functional && conform && sim) {
                 failures += 1;
             }

@@ -12,10 +12,9 @@
 
 use proptest::prelude::*;
 use si_bench::large_set;
-use si_core::{synthesize, Circuit, SynthesisOptions};
-use si_petri::ReachOptions;
+use si_core::{synthesize, Circuit, Engine, SynthesisOptions};
 use si_stg::Stg;
-use si_verify::{check_conformance_with, ConformanceReport};
+use si_verify::{ConformanceReport, EngineVerify};
 use std::sync::OnceLock;
 
 struct Member {
@@ -80,10 +79,12 @@ proptest! {
         let m = &ms[idx % ms.len()];
         let circuit = if sabotage { &m.bad } else { &m.good };
         let cap = 2_000_000;
-        let seq = check_conformance_with(&m.stg, circuit, ReachOptions::with_cap(cap)).unwrap();
-        let par =
-            check_conformance_with(&m.stg, circuit, ReachOptions::with_cap(cap).shards(shards))
-                .unwrap();
+        let seq = Engine::new(&m.stg).cap(cap).check_conformance(circuit).unwrap();
+        let par = Engine::new(&m.stg)
+            .cap(cap)
+            .shards(shards)
+            .check_conformance(circuit)
+            .unwrap();
         prop_assert!(
             seq.is_conclusive() && par.is_conclusive(),
             "{}: the 2M cap must cover the whole product",

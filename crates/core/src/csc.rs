@@ -11,11 +11,12 @@
 //!   resolver spells the same way: an STG that already satisfies CSC is
 //!   returned unchanged with the sentinel plan.
 //!
-//! `resolve_csc` / `resolve_csc_with` themselves are provided by `si-csc`
-//! (and re-exported from the `sisyn` umbrella crate): resolution needs the
-//! structural context *and* drives whole `Engine` sessions per candidate,
-//! so it sits above this crate in the dependency order — the same pattern
-//! as speed-independence verification (`si-verify`'s `EngineVerify`).
+//! Resolution itself is provided by `si-csc` (`si_csc::resolve` and the
+//! `EngineResolve` methods, re-exported from the `sisyn` umbrella crate):
+//! it needs the structural context *and* drives whole `Engine` sessions
+//! per candidate, so it sits above this crate in the dependency order —
+//! the same pattern as speed-independence verification (`si-verify`'s
+//! `EngineVerify`).
 
 use crate::context::{CscVerdict, StructuralContext};
 use si_petri::PlaceId;

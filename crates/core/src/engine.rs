@@ -2,12 +2,11 @@
 //! artifacts.
 //!
 //! The paper's flow is a pipeline — structural analysis feeding synthesis,
-//! CSC resolution and verification — but free functions like
-//! [`crate::synthesize`] and `si_verify::verify_circuit` each re-derive the
-//! expensive shared artifacts per call: the [`StructuralContext`], the
-//! explicit [`ReachabilityGraph`] and the [`ConcurrencyRelation`].
-//! [`Engine`] owns one specification and computes each artifact **at most
-//! once**, on first use, whatever order the pipeline methods are called in:
+//! CSC resolution and verification — over expensive shared artifacts: the
+//! [`StructuralContext`], the explicit [`ReachabilityGraph`] with its
+//! [`StateEncoding`], and the [`ConcurrencyRelation`]. [`Engine`] owns one
+//! specification and computes each artifact **at most once**, on first
+//! use, whatever order the pipeline methods are called in:
 //!
 //! ```text
 //!              Engine::new(&stg).cap(..).shards(..).minimizer(..)
@@ -16,19 +15,21 @@
 //!          ▼ (lazy, cached)        ▼ (lazy, cached)           ▼ (lazy, cached)
 //!   StructuralContext       ReachabilityGraph + enc     ConcurrencyRelation
 //!          │                        │
-//!   analyze / synthesize     synthesize_state_based / verify / conformance
+//!   analyze / synthesize     synthesize_state_based / verify /
+//!          │                 conformance / random walks
 //!          └── resolve_csc (si-csc's EngineResolve) uses both ──┘
 //! ```
 //!
-//! The legacy free functions remain as one-shot wrappers over a fresh
-//! `Engine`, so both spellings stay bit-identical; pipelines that make more
-//! than one call should hold an `Engine` (a synth-then-verify run builds
-//! the reachability graph once instead of twice — pinned by a build-count
-//! test against [`ReachabilityGraph::build_count`]).
+//! Every operation that needs the state graph is an `Engine` method, so
+//! a synthesize-then-verify run builds it once (pinned by a build-count
+//! test against [`ReachabilityGraph::build_count`]). Only
+//! [`crate::synthesize`], a wrapper over [`StructuralContext`], remains
+//! as a free function.
 //!
 //! Speed-independence verification is provided on the same object by the
-//! `EngineVerify` extension trait of `si_verify` (the verifier depends on
-//! this crate, not the other way around).
+//! `EngineVerify` extension trait of `si_verify`, and CSC resolution by
+//! `si_csc::EngineResolve` (those crates depend on this one, not the
+//! other way around).
 
 use crate::context::{CscVerdict, StructuralContext, SynthesisError};
 use crate::statebased::{synthesize_state_based_on, BaselineError, BaselineFlavor};
@@ -309,9 +310,10 @@ impl<'a> Engine<'a> {
     /// kept as a value so each caller can map it to its own error type).
     fn encoding_entry(&self) -> Result<&Result<StateEncoding, EncodingError>, ReachError> {
         let rg = self.reachability()?;
-        Ok(self
-            .enc
-            .get_or_init(|| StateEncoding::compute(self.stg, rg)))
+        Ok(self.enc.get_or_init(|| {
+            let _span = si_obs::span("stg.encode");
+            StateEncoding::compute(self.stg, rg)
+        }))
     }
 
     /// The cached state encoding over [`Engine::reachability`].
@@ -496,12 +498,19 @@ impl<'a> Engine<'a> {
     }
 
     /// The state-based baseline (§IX-B/C) over the cached reachability
-    /// graph, with the session's minimizer backend.
+    /// graph, with the session's minimizer backend. The session's shard
+    /// count builds the graph (the dominant cost of the baseline on the
+    /// scalable benchmark families) on the sharded explorer; the result is
+    /// identical either way.
     ///
     /// # Errors
     ///
-    /// As [`crate::synthesize_state_based`]; a cap overflow surfaces as
-    /// [`BaselineError::StateExplosion`].
+    /// [`BaselineError::StateExplosion`] when the reachability graph
+    /// exceeds the session cap — the condition Tables VI/VII report as
+    /// "memory out" — or another budget limit stops its build;
+    /// [`BaselineError::Inconsistent`] on an inconsistent STG;
+    /// [`BaselineError::CscConflict`] when a CSC conflict makes the
+    /// next-state functions ill-defined.
     pub fn synthesize_state_based(
         &self,
         flavor: BaselineFlavor,

@@ -19,8 +19,8 @@
 //!
 //! The whole flow is exposed as methods on one session object,
 //! [`Engine`], which lazily caches the shared artifacts (structural
-//! context, reachability graph, concurrency relation); the free functions
-//! below are one-shot wrappers over it.
+//! context, reachability graph, concurrency relation). [`synthesize`]
+//! stays as a free function over a [`StructuralContext`] alone.
 //!
 //! # Examples
 //!
@@ -61,10 +61,7 @@ pub use csc::{apply_insertion, no_conflict_resolution, sentinel_plan, InsertionP
 pub use cubes::PlaceCubes;
 pub use engine::{Analysis, Backend, Engine};
 pub use netlist::to_verilog;
-pub use statebased::{
-    synthesize_state_based, synthesize_state_based_on, synthesize_state_based_with, BaselineError,
-    BaselineFlavor, BaselineSynthesis,
-};
+pub use statebased::{BaselineError, BaselineFlavor, BaselineSynthesis};
 pub use synthesis::{
     derive_clusters, realize_clusters, revalidate_clusters, synthesize, synthesize_signal,
     synthesize_with_context, Architecture, ClusterSource, MinimizeStages, SignalClusters,

@@ -10,7 +10,7 @@
 
 use crate::circuit::{Circuit, ImplKind, SignalImplementation};
 use si_boolean::{Bits, Cover, Cube, Minimizer, MinimizerChoice};
-use si_petri::{ReachError, ReachOptions, ReachabilityGraph, StateId};
+use si_petri::{ReachError, ReachabilityGraph};
 use si_stg::{
     codes_of, CodingAnalysis, EncodingError, SignalId, SignalRegions, StateEncoding, Stg,
 };
@@ -65,50 +65,18 @@ fn minterms(codes: &[Bits]) -> Vec<Cube> {
     codes.iter().map(Cube::from_vertex).collect()
 }
 
-/// Runs the state-based baseline with an explicit state cap.
-///
-/// # Errors
-///
-/// [`BaselineError::StateExplosion`] when the reachability graph exceeds
-/// `cap` markings — the condition Tables VI/VII report as "memory out".
-pub fn synthesize_state_based(
-    stg: &Stg,
-    flavor: BaselineFlavor,
-    cap: usize,
-) -> Result<BaselineSynthesis, BaselineError> {
-    synthesize_state_based_with(stg, flavor, ReachOptions::with_cap(cap))
-}
-
-/// Like [`synthesize_state_based`] but with explicit [`ReachOptions`]:
-/// `reach.shards > 1` builds the reachability graph (the dominant cost of
-/// the baseline on the scalable benchmark families) on the sharded
-/// multi-threaded engine. The synthesized result is identical either way —
-/// the engines produce the same graph, state numbering included.
-///
-/// # Errors
-///
-/// Same contract as [`synthesize_state_based`].
-pub fn synthesize_state_based_with(
-    stg: &Stg,
-    flavor: BaselineFlavor,
-    reach: ReachOptions,
-) -> Result<BaselineSynthesis, BaselineError> {
-    crate::Engine::new(stg)
-        .reach(reach)
-        .synthesize_state_based(flavor)
-}
-
 /// The baseline over a **prebuilt** reachability graph and state encoding
-/// — the form the [`crate::Engine`] artifact cache calls so a
-/// baseline-then-verify pipeline computes both exactly once — with an
-/// explicit two-level minimizer backend for the exact region covers.
+/// — the form [`crate::Engine::synthesize_state_based`] calls over its
+/// artifact cache, so a baseline-then-verify pipeline computes both
+/// exactly once — with an explicit two-level minimizer backend for the
+/// exact region covers.
 ///
 /// # Errors
 ///
-/// [`BaselineError::CscConflict`] as in [`synthesize_state_based`]; state
-/// explosion and inconsistency cannot occur here (the caller already
-/// built the graph and the encoding).
-pub fn synthesize_state_based_on(
+/// [`BaselineError::CscConflict`]; state explosion and inconsistency
+/// cannot occur here (the caller already built the graph and the
+/// encoding).
+pub(crate) fn synthesize_state_based_on(
     stg: &Stg,
     flavor: BaselineFlavor,
     rg: &ReachabilityGraph,
@@ -257,15 +225,19 @@ fn region_cover(
     cover
 }
 
-/// Behavioural-oracle state ids of a region (used by tests/benches).
-pub fn region_states(region: &si_stg::StateSet) -> Vec<StateId> {
-    region.iter_ones().map(|i| StateId(i as u32)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Engine;
     use si_stg::benchmarks;
+
+    fn synthesize_state_based(
+        stg: &Stg,
+        flavor: BaselineFlavor,
+        cap: usize,
+    ) -> Result<BaselineSynthesis, BaselineError> {
+        Engine::new(stg).cap(cap).synthesize_state_based(flavor)
+    }
 
     #[test]
     fn baseline_synthesizes_the_suite() {

@@ -171,7 +171,9 @@ pub struct Synthesis {
     pub csc: CscVerdict,
 }
 
-/// Runs the full structural synthesis flow on an STG.
+/// Runs the full structural synthesis flow on an STG, over a structural
+/// context of its own (an [`crate::Engine`] session shares its context
+/// between calls instead).
 ///
 /// # Errors
 ///
@@ -193,7 +195,7 @@ pub struct Synthesis {
 /// # Ok::<(), si_core::SynthesisError>(())
 /// ```
 pub fn synthesize(stg: &Stg, options: &SynthesisOptions) -> Result<Synthesis, SynthesisError> {
-    crate::Engine::new(stg).options(*options).synthesize()
+    synthesize_with_context(&StructuralContext::build(stg)?, options, None)
 }
 
 /// Where [`synthesize_signals`] gets one signal's clusters from when it

@@ -17,8 +17,10 @@ pub trait EngineResolve {
     /// greedy strategy.
     ///
     /// Returns the repaired STG and the insertion plan, or `None` when no
-    /// candidate within `budget` works; see [`crate::resolve_csc`] for
-    /// the plan semantics.
+    /// candidate within `budget` works. When the input already satisfies
+    /// CSC it is returned unchanged together with the no-op sentinel plan
+    /// (`rise_split == fall_split == PlaceId(0)`, no waits — impossible
+    /// for a real insertion, whose split places always differ).
     fn resolve_csc(&self, budget: usize) -> Option<(Stg, InsertionPlan)>;
 
     /// The full-control form: explicit [`CscOptions`] (strategy, beam
@@ -67,8 +69,14 @@ mod tests {
         let raw = si_stg::benchmarks::vme_read_raw();
         let engine = Engine::new(&raw).cap(100_000);
         let (fixed_engine, plan_engine) = engine.resolve_csc(50_000).expect("resolvable");
-        let (fixed_free, plan_free) =
-            crate::resolve_csc_with(&raw, 50_000, engine.reach_options()).expect("resolvable");
+        let options = CscOptions::default()
+            .budget(50_000)
+            .reach(engine.reach_options());
+        let Resolution {
+            stg: fixed_free,
+            plan: plan_free,
+            ..
+        } = resolve(&raw, &options).resolution.expect("resolvable");
         assert_eq!(plan_engine, plan_free);
         assert_eq!(si_stg::write_g(&fixed_engine), si_stg::write_g(&fixed_free));
     }

@@ -52,8 +52,7 @@ mod search;
 pub use cores::{conflict_cores, targeted_candidate_tiers, targeted_candidates, ConflictCore};
 pub use engine_ext::EngineResolve;
 pub use search::{
-    resolve, resolve_csc, resolve_csc_blind, resolve_csc_with, CscOptions, Resolution,
-    ResolveOutcome, ResolveStats, Strategy,
+    resolve, resolve_csc_blind, CscOptions, Resolution, ResolveOutcome, ResolveStats, Strategy,
 };
 
 // The types the subsystem's API is phrased in.

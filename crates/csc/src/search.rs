@@ -531,33 +531,6 @@ fn oracle_accepts(stg: &Stg, reach: &ReachOptions) -> bool {
     coding.has_csc() && semimodularity_violations(stg, rg).is_empty()
 }
 
-/// Searches for a single-signal insertion that resolves the CSC conflicts
-/// of `stg` with the default options (greedy strategy, 1M-state oracle
-/// cap). Returns the repaired STG and the plan, or `None` when no
-/// candidate within `budget` works.
-///
-/// When the input already satisfies CSC it is returned unchanged together
-/// with the no-op sentinel plan (`rise_split == fall_split == PlaceId(0)`,
-/// no waits — impossible for a real insertion, whose split places always
-/// differ).
-pub fn resolve_csc(stg: &Stg, budget: usize) -> Option<(Stg, InsertionPlan)> {
-    resolve_csc_with(stg, budget, ReachOptions::with_cap(1_000_000))
-}
-
-/// Like [`resolve_csc`] but with explicit [`ReachOptions`] for the
-/// behavioural acceptance oracle: `reach.cap` bounds the candidate's state
-/// space and `reach.shards > 1` runs the oracle's reachability build on
-/// the sharded multi-threaded engine.
-pub fn resolve_csc_with(
-    stg: &Stg,
-    budget: usize,
-    reach: ReachOptions,
-) -> Option<(Stg, InsertionPlan)> {
-    resolve(stg, &CscOptions::default().budget(budget).reach(reach))
-        .resolution
-        .map(|r| (r.stg, r.plan))
-}
-
 /// The pre-subsystem blind search, kept verbatim as the equivalence
 /// oracle and bench baseline: all ordered pairs of distinct simple places
 /// under a budget, first without wait arcs, then with one wait arc from
@@ -640,11 +613,15 @@ pub fn resolve_csc_blind(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EngineResolve;
 
     #[test]
     fn vme_read_conflict_is_resolved_automatically() {
         let raw = si_stg::benchmarks::vme_read_raw();
-        let (fixed, plan) = resolve_csc(&raw, 50_000).expect("resolvable");
+        let (fixed, plan) = Engine::new(&raw)
+            .cap(1_000_000)
+            .resolve_csc(50_000)
+            .expect("resolvable");
         assert_eq!(fixed.signal_count(), raw.signal_count() + 1);
         // The repaired STG synthesizes and verifies.
         let syn = si_core::synthesize(&fixed, &si_core::SynthesisOptions::default())
@@ -656,7 +633,10 @@ mod tests {
     #[test]
     fn csc_clean_stg_returned_unchanged() {
         let stg = si_stg::benchmarks::burst2();
-        let (same, plan) = resolve_csc(&stg, 10).expect("already clean");
+        let (same, plan) = Engine::new(&stg)
+            .cap(1_000_000)
+            .resolve_csc(10)
+            .expect("already clean");
         assert_eq!(same.signal_count(), stg.signal_count());
         assert!(plan.rise_waits.is_empty());
     }
@@ -713,7 +693,7 @@ mod tests {
         ] {
             let reach = ReachOptions::with_cap(100_000);
             let blind = resolve_csc_blind(&stg, budget, reach.clone());
-            let new = resolve_csc_with(&stg, budget, reach.clone());
+            let new = Engine::new(&stg).reach(reach.clone()).resolve_csc(budget);
             assert_eq!(blind.is_some(), new.is_some(), "{}", stg.name());
             if let (Some((b, _)), Some((n, _))) = (blind, new) {
                 assert_eq!(b.signal_count(), n.signal_count(), "{}", stg.name());

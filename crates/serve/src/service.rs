@@ -48,7 +48,7 @@ use si_petri::{
     StructuralCheck,
 };
 use si_stg::{canonical_g, parse_g, write_g, Stg, StgAnalysis};
-use si_verify::{random_walks, EngineVerify};
+use si_verify::EngineVerify;
 
 use crate::json::{escape, parse, Value};
 use crate::queue::QueueStats;
@@ -443,7 +443,9 @@ impl Service {
 
         // The count is informational: the structural flow never needs the
         // state graph, so running out of budget is not a failure.
-        let count = engine.spec_state_count();
+        let count = engine
+            .spec_state_count()
+            .map_err(|e| since_armed(&e, &engine, req));
         let count_inconclusive = count.as_ref().is_err_and(ReachError::is_inconclusive);
         let live_safe = matches!(check_live_safe_fc(stg.net()), StructuralCheck::Ok);
         let consistent = StgAnalysis::analyze(stg).is_ok();
@@ -628,7 +630,7 @@ impl Service {
                  \"model\": {}, \"error\": {}}}",
                 e.is_inconclusive(),
                 escape(stg.name()),
-                reach_error_json(e),
+                reach_error_json(&since_armed(e, &engine, req)),
             ))),
             conclusive: !e.is_inconclusive(),
             manifest: Vec::new(),
@@ -641,7 +643,10 @@ impl Service {
             Ok(report) => report,
             Err(e) => return reach_failed(&e),
         };
-        let sim = random_walks(stg, &syn.circuit, 4, 4000, 7);
+        let sim = match engine.random_walks(&syn.circuit, 4, 4000, 7) {
+            Ok(outcome) => outcome,
+            Err(e) => return reach_failed(&e),
+        };
         self.export_summary(&engine, spec_hash, &mut manifest);
         let spec_states = engine.spec_state_count().ok();
         let symbolic = (req.backend == Backend::Symbolic)
@@ -813,6 +818,22 @@ pub fn error_json(kind: &str, detail: &str, states_explored: usize) -> String {
         escape(kind),
         escape(detail),
     )
+}
+
+/// `e` with an interruption's `elapsed_ms` counted from when the
+/// request's deadline was armed ([`Request::reach`]) instead of from the
+/// start of the traversal that stopped: synthesis runs first, so a short
+/// deadline can pass before that traversal begins.
+fn since_armed(e: &ReachError, engine: &Engine<'_>, req: &Request) -> ReachError {
+    let mut e = e.clone();
+    let deadline = engine.reach_options().budget.deadline;
+    let armed = deadline
+        .zip(req.timeout)
+        .and_then(|(at, d)| at.checked_sub(d));
+    if let (ReachError::Interrupted { elapsed_ms, .. }, Some(armed)) = (&mut e, armed) {
+        *elapsed_ms = armed.elapsed().as_millis() as u64;
+    }
+    e
 }
 
 /// The error object of a [`ReachError`]. The kind vocabulary matches

@@ -187,22 +187,38 @@ fn run(args: &Args) -> u8 {
 }
 
 /// `synth --waveform N`: simulates the synthesized circuit for `steps`
-/// random firings and prints the waveform on stderr.
+/// random firings and prints the waveform on stderr. The walk reads the
+/// initial wire values from a session under the request's cap and
+/// deadline and the Ctrl-C token; a budget that runs out exits 3.
 fn waveform(text: &str, args: &Args, steps: usize) -> u8 {
     let stg = parse_g(text).expect("the spec parsed for synth");
-    match Engine::new(&stg)
-        .options(args.request.synthesis())
-        .synthesize()
-    {
-        Ok(syn) => {
-            let (outcome, trace) = record_walk(&stg, &syn.circuit, steps, 1);
+    let engine = Engine::new(&stg)
+        .reach(
+            args.request
+                .reach(4_000_000)
+                .cancel(interrupt_token().clone()),
+        )
+        .options(args.request.synthesis());
+    let syn = match engine.synthesize() {
+        Ok(syn) => syn,
+        Err(e) => {
+            eprintln!("synthesis failed: {e}");
+            return 1;
+        }
+    };
+    match engine.record_walk(&syn.circuit, steps, 1) {
+        Ok((outcome, trace)) => {
             eprintln!("simulation: {outcome:?}");
             eprint!("{}", sisyn::stg::render_waveform(&stg, &trace));
             0
         }
         Err(e) => {
-            eprintln!("synthesis failed: {e}");
-            1
+            eprintln!("simulation impossible: {e}");
+            if e.is_inconclusive() {
+                EXIT_INCONCLUSIVE
+            } else {
+                1
+            }
         }
     }
 }

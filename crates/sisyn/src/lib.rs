@@ -56,13 +56,12 @@ pub use si_verify as verify;
 pub mod prelude {
     pub use si_boolean::{Bits, Cover, Cube, Minimizer, MinimizerChoice};
     pub use si_core::{
-        map_circuit, synthesize, synthesize_state_based, to_verilog, Analysis, Architecture,
-        Backend, BaselineFlavor, Circuit, CscVerdict, Engine, ImplKind, MinimizeStages,
-        StructuralContext, Synthesis, SynthesisOptions,
+        map_circuit, synthesize, to_verilog, Analysis, Architecture, Backend, BaselineFlavor,
+        Circuit, CscVerdict, Engine, ImplKind, MinimizeStages, StructuralContext, Synthesis,
+        SynthesisOptions,
     };
     pub use si_csc::{
-        resolve_csc, resolve_csc_with, CscOptions, EngineResolve, InsertionPlan, ResolveOutcome,
-        ResolveStats, Strategy,
+        CscOptions, EngineResolve, InsertionPlan, ResolveOutcome, ResolveStats, Strategy,
     };
     pub use si_petri::{
         check_live_safe_fc, Budget, CancelToken, Interrupt, InterruptReason, PetriNet, ReachError,
@@ -74,8 +73,7 @@ pub mod prelude {
     };
     pub use si_stg::{parse_g, stg_to_dot, write_g, SignalKind, Stg, StgAnalysis};
     pub use si_verify::{
-        check_conformance, check_conformance_with, random_walks, record_walk, verify_circuit,
-        verify_circuit_with, ConformanceFailure, ConformanceReport, EngineVerify,
-        VerificationReport, Violation,
+        ConformanceFailure, ConformanceReport, EngineVerify, VerificationReport, Violation,
+        WalkOutcome,
     };
 }

@@ -89,7 +89,7 @@ impl Violation {
     }
 }
 
-/// Result of [`verify_circuit`].
+/// Result of [`crate::EngineVerify::verify`].
 #[derive(Clone, Debug, Default)]
 pub struct VerificationReport {
     /// All found violations (empty = verified), ordered by state / kind /
@@ -137,43 +137,6 @@ fn spec_next(
         }
     }
     enc.value(s, signal)
-}
-
-/// Verifies a circuit against its STG on the explicit reachability graph.
-///
-/// # Panics
-///
-/// Panics if the STG is not safe/consistent (callers verify synthesizable
-/// inputs, which always are).
-pub fn verify_circuit(stg: &Stg, circuit: &Circuit) -> VerificationReport {
-    match verify_circuit_with(stg, circuit, si_petri::ReachOptions::with_cap(4_000_000)) {
-        Ok(report) => report,
-        Err(e) => panic!("state-based verification impossible: {e}"),
-    }
-}
-
-/// Verifies with explicit [`si_petri::ReachOptions`]: `reach.cap` bounds
-/// the specification's state space (the call returns
-/// [`si_petri::ReachError::StateCapExceeded`] instead of hanging past it)
-/// and `reach.shards > 1` runs both the reachability build **and** the
-/// violation search on the sharded multi-threaded explorer. The report is
-/// identical at any shard count (violations are canonically ordered; only
-/// the counterexample trace may differ between equally valid witnesses).
-///
-/// This is a one-shot wrapper over [`si_core::Engine`]; pipelines that
-/// also synthesize or check conformance should hold an `Engine` and call
-/// [`crate::EngineVerify::verify`] so the graph is built once.
-///
-/// # Errors
-///
-/// Any [`si_petri::ReachError`] from building the reachability graph.
-pub fn verify_circuit_with(
-    stg: &Stg,
-    circuit: &Circuit,
-    reach: si_petri::ReachOptions,
-) -> Result<VerificationReport, si_petri::ReachError> {
-    use crate::EngineVerify;
-    si_core::Engine::new(stg).reach(reach).verify(circuit)
 }
 
 /// Verification over a **prebuilt** reachability graph and encoding —
@@ -350,8 +313,14 @@ impl StateSpace for VerifySpace<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use si_core::{synthesize, Architecture, MinimizeStages, SynthesisOptions};
+    use crate::EngineVerify;
+    use si_core::{synthesize, Architecture, Engine, MinimizeStages, SynthesisOptions};
     use si_stg::benchmarks;
+
+    /// Verification over a fresh default session.
+    fn verify_circuit(stg: &Stg, circuit: &Circuit) -> VerificationReport {
+        Engine::new(stg).verify(circuit).unwrap()
+    }
 
     /// An ungoverned violation search over a prebuilt graph at `shards`.
     fn walk(shards: usize) -> si_petri::ReachOptions {

@@ -27,6 +27,7 @@
 //! counterexample ([`ConformanceReport::trace`]) from the same machinery
 //! as every other traversal.
 
+use crate::engine_ext::initial_code;
 use si_boolean::Bits;
 use si_core::Circuit;
 use si_petri::space::{explore_with, ExploreError, ExploreOptions, SpaceVisitor, StateSpace};
@@ -57,7 +58,7 @@ pub enum ConformanceFailure {
     },
 }
 
-/// Result of [`check_conformance`].
+/// Result of [`crate::EngineVerify::check_conformance`].
 #[derive(Clone, Debug, Default)]
 pub struct ConformanceReport {
     /// All discovered failures (empty = conformant and hazard-free).
@@ -95,54 +96,8 @@ impl ConformanceReport {
 /// settled; the explorers stop once the budget is spent.
 const ENOUGH_EVIDENCE: usize = 8;
 
-/// Exhaustively explores the circuit × environment product up to `cap`
-/// states.
-///
-/// # Errors
-///
-/// See [`check_conformance_with`].
-pub fn check_conformance(
-    stg: &Stg,
-    circuit: &Circuit,
-    cap: usize,
-) -> Result<ConformanceReport, ReachError> {
-    check_conformance_with(stg, circuit, si_petri::ReachOptions::with_cap(cap))
-}
-
-/// Like [`check_conformance`] but with explicit [`si_petri::ReachOptions`]:
-/// the budget (state cap, deadline, cancellation) bounds the product
-/// exploration and `reach.shards > 1` runs **both** the specification's
-/// reachability probe (which seeds the initial wire encoding) and the
-/// product exploration itself on the sharded multi-threaded explorer. The
-/// verdict is identical at any shard count.
-///
-/// Exhausting the budget is **not** an error: the report comes back
-/// partial, tagged [`ConformanceReport::interrupted`]. The probe keeps at
-/// least the historical 4M-state headroom so a small product cap still
-/// allows partial product exploration; only past that does the report turn
-/// inconclusive with zero product states. This is a one-shot wrapper over
-/// [`si_core::Engine`]; pipelines that also verify should hold an `Engine`
-/// and call [`crate::EngineVerify::check_conformance`] so the probe graph
-/// is shared.
-///
-/// # Errors
-///
-/// [`ReachError::NotSafe`] when the specification's net is unsafe (a
-/// broken specification, not an inconclusive exploration), and
-/// [`ReachError::WorkerPanicked`] when a sharded explorer worker panicked.
-pub fn check_conformance_with(
-    stg: &Stg,
-    circuit: &Circuit,
-    reach: si_petri::ReachOptions,
-) -> Result<ConformanceReport, ReachError> {
-    let mut probe_opts = reach.clone();
-    probe_opts.budget.cap = reach.budget.cap.max(4_000_000);
-    let engine = si_core::Engine::new(stg).reach(probe_opts);
-    engine_conformance(&engine, circuit, reach)
-}
-
-/// A zero-progress inconclusive report: the specification probe itself ran
-/// out of budget, so not a single product state was explored.
+/// A zero-progress inconclusive report: the session's graph build ran out
+/// of budget, so not a single product state was explored.
 fn probe_exhausted(reason: InterruptReason) -> ConformanceReport {
     ConformanceReport {
         failures: Vec::new(),
@@ -156,71 +111,26 @@ fn probe_exhausted(reason: InterruptReason) -> ConformanceReport {
     }
 }
 
-/// Conformance over an [`si_core::Engine`]'s cached probe graph: the
-/// engine supplies the reachability graph and encoding that seed the
-/// initial wire values; `reach`'s budget bounds the product exploration
-/// itself and `reach.shards` parallelizes it.
-///
-/// When the session's cap is too small for the specification, the probe
-/// falls back to a **one-shot** graph at the historical 4M-state headroom
-/// (without touching the session cache), so a small product cap still
-/// allows partial product exploration — the same contract as
-/// [`check_conformance_with`]. Only past that headroom (or when the
-/// probe's deadline/cancellation fires first) does the report turn
-/// inconclusive with zero product states.
+/// Conformance over an [`si_core::Engine`] session: the session's
+/// encoding seeds the initial wire values, its budget bounds the product
+/// exploration and its shard count parallelizes it. A session whose
+/// graph build ran out of budget gives an inconclusive report with zero
+/// product states.
 pub(crate) fn engine_conformance(
     engine: &si_core::Engine<'_>,
     circuit: &Circuit,
-    reach: si_petri::ReachOptions,
 ) -> Result<ConformanceReport, ReachError> {
     let _span = si_obs::span("verify.conformance");
-    let stg = engine.stg();
-    let code0 = match engine.reachability() {
-        Ok(rg) => {
-            let enc = engine.encoding().expect("reachability already succeeded");
-            let s0 = rg
-                .state_of(&stg.net().initial_marking())
-                .expect("initial state");
-            enc.code(s0).clone()
-        }
-        Err(ReachError::StateCapExceeded { cap: session_cap }) if session_cap < 4_000_000 => {
-            // Probe-headroom fallback, outside the session cache.
-            let mut probe = engine.reach_options();
-            probe.budget.cap = 4_000_000;
-            match si_petri::ReachabilityGraph::build_with(stg.net(), probe) {
-                Ok(rg) => {
-                    let enc = si_stg::StateEncoding::compute(stg, &rg).expect("consistent");
-                    let s0 = rg
-                        .state_of(&stg.net().initial_marking())
-                        .expect("initial state");
-                    enc.code(s0).clone()
-                }
-                Err(ReachError::StateCapExceeded { .. }) => {
-                    return Ok(probe_exhausted(InterruptReason::CapExceeded))
-                }
-                Err(ReachError::Interrupted { reason, .. }) => return Ok(probe_exhausted(reason)),
-                Err(e) => return Err(e),
-            }
-        }
+    let code0 = match initial_code(engine) {
+        Ok(code) => code,
         Err(ReachError::StateCapExceeded { .. }) => {
             return Ok(probe_exhausted(InterruptReason::CapExceeded))
         }
         Err(ReachError::Interrupted { reason, .. }) => return Ok(probe_exhausted(reason)),
         Err(e) => return Err(e),
     };
-    explore_product(stg, circuit, code0, reach)
-}
-
-/// The product-automaton exploration proper, from explicit initial wire
-/// values `code0`, on the explorer selected by `reach.shards`.
-fn explore_product(
-    stg: &Stg,
-    circuit: &Circuit,
-    code0: Bits,
-    reach: si_petri::ReachOptions,
-) -> Result<ConformanceReport, ReachError> {
-    let space = ProductSpace::new(stg, circuit, code0);
-    let opts = ExploreOptions::from(reach)
+    let space = ProductSpace::new(engine.stg(), circuit, code0);
+    let opts = ExploreOptions::from(engine.reach_options())
         .max_violations(ENOUGH_EVIDENCE)
         .witness();
     let expl = match explore_with(&space, opts) {
@@ -428,7 +338,8 @@ impl StateSpace for ProductSpace<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use si_core::{synthesize, SynthesisOptions};
+    use crate::EngineVerify;
+    use si_core::Engine;
     use si_stg::benchmarks;
 
     #[test]
@@ -439,8 +350,9 @@ mod tests {
             benchmarks::burst2(),
             si_stg::generators::clatch(3),
         ] {
-            let syn = synthesize(&stg, &SynthesisOptions::default()).unwrap();
-            let report = check_conformance(&stg, &syn.circuit, 1_000_000).unwrap();
+            let engine = Engine::new(&stg).cap(1_000_000);
+            let syn = engine.synthesize().unwrap();
+            let report = engine.check_conformance(&syn.circuit).unwrap();
             assert!(
                 report.is_ok(),
                 "{}: {:?}",
@@ -455,7 +367,8 @@ mod tests {
     #[test]
     fn inverted_output_is_not_conformant() {
         let stg = si_stg::generators::clatch(2);
-        let mut syn = synthesize(&stg, &SynthesisOptions::default()).unwrap();
+        let engine = Engine::new(&stg).cap(100_000);
+        let mut syn = engine.synthesize().unwrap();
         let z = syn.results[0].signal;
         syn.circuit.implementations[0] = si_core::SignalImplementation {
             signal: z,
@@ -464,7 +377,7 @@ mod tests {
                 inverted: false,
             },
         };
-        let report = check_conformance(&stg, &syn.circuit, 100_000).unwrap();
+        let report = engine.check_conformance(&syn.circuit).unwrap();
         assert!(!report.is_ok());
         assert!(report.trace.is_some());
     }
@@ -475,7 +388,7 @@ mod tests {
         // semantics (fire the STG transition, toggle the wire) and end at
         // a state exhibiting the first reported failure.
         let stg = si_stg::generators::clatch(2);
-        let mut syn = synthesize(&stg, &SynthesisOptions::default()).unwrap();
+        let mut syn = Engine::new(&stg).synthesize().unwrap();
         let z = syn.results[0].signal;
         syn.circuit.implementations[0] = si_core::SignalImplementation {
             signal: z,
@@ -485,12 +398,11 @@ mod tests {
             },
         };
         for shards in [1, 2] {
-            let report = check_conformance_with(
-                &stg,
-                &syn.circuit,
-                si_petri::ReachOptions::with_cap(100_000).shards(shards),
-            )
-            .unwrap();
+            let report = Engine::new(&stg)
+                .cap(100_000)
+                .shards(shards)
+                .check_conformance(&syn.circuit)
+                .unwrap();
             assert!(!report.is_ok());
             let trace = report.trace.as_ref().expect("failures come with a trace");
             let net = stg.net();

@@ -8,15 +8,17 @@
 
 use crate::check::{verify_on, VerificationReport};
 use crate::conform::{engine_conformance, ConformanceReport};
+use crate::sim::{walks, WalkOutcome};
+use si_boolean::Bits;
 use si_core::{Circuit, Engine};
-use si_petri::ReachError;
+use si_petri::{ReachError, StateId, TransId};
 
 /// Speed-independence verification over an [`Engine`]'s cached artifacts.
 ///
-/// Both methods reuse the session's reachability graph: a
-/// synthesize-then-verify-then-conformance pipeline explores the
-/// specification's state space **exactly once** (pinned by a build-count
-/// test).
+/// Every method reuses the session's reachability graph and encoding: a
+/// synthesize-then-verify-then-conformance-then-walk pipeline explores
+/// the specification's state space **exactly once** (pinned by a
+/// build-count test).
 ///
 /// # Examples
 ///
@@ -29,12 +31,12 @@ use si_petri::ReachError;
 /// let syn = engine.synthesize()?;
 /// assert!(engine.verify(&syn.circuit)?.is_ok());
 /// assert!(engine.check_conformance(&syn.circuit)?.is_ok());
-/// assert_eq!(engine.reach_build_count(), 1); // graph shared by both checks
+/// assert!(engine.random_walks(&syn.circuit, 4, 1000, 7)?.is_clean());
+/// assert_eq!(engine.reach_build_count(), 1); // graph shared by every check
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub trait EngineVerify {
-    /// Functional + monotonic-cover verification
-    /// ([`crate::verify_circuit_with`] semantics) over the cached graph.
+    /// Functional + monotonic-cover verification over the cached graph.
     /// The violation search runs on the session's configured shard count
     /// (`Engine::shards`) under the session's soft budget (deadline /
     /// cancellation — an interrupted search returns a partial report
@@ -48,21 +50,48 @@ pub trait EngineVerify {
     /// mid-build — or [`ReachError::WorkerPanicked`] from the search.
     fn verify(&self, circuit: &Circuit) -> Result<VerificationReport, ReachError>;
 
-    /// Product-automaton conformance checking
-    /// ([`crate::check_conformance_with`] semantics). The session's
-    /// budget bounds the product exploration (exhausting it returns a
-    /// partial report tagged [`ConformanceReport::interrupted`], not an
-    /// error) and the session's shard count parallelizes it; the probe
-    /// graph falls back to the historical 4M-state headroom (one-shot,
-    /// outside the session cache) when the session cap is too small for
-    /// the specification, so a small cap still allows partial product
-    /// exploration.
+    /// Product-automaton conformance checking, seeded with the initial
+    /// wire values of the session's encoding. The session's budget bounds
+    /// the product exploration (exhausting it returns a partial report
+    /// tagged [`ConformanceReport::interrupted`], not an error) and the
+    /// session's shard count parallelizes it. When the session's own
+    /// graph build runs out of budget (cap, deadline, cancellation), the
+    /// report is inconclusive with zero product states.
     ///
     /// # Errors
     ///
     /// [`ReachError::NotSafe`] on a broken specification and
     /// [`ReachError::WorkerPanicked`] from the exploration.
     fn check_conformance(&self, circuit: &Circuit) -> Result<ConformanceReport, ReachError>;
+
+    /// Runs `walks` random schedules of `steps` steps each; returns the
+    /// first non-clean outcome, or the clean summary of the longest walk.
+    /// The walks read only the initial wire values from the session (each
+    /// firing toggles one wire), so they build no graph of their own.
+    ///
+    /// # Errors
+    ///
+    /// Any [`ReachError`] from building the session's reachability graph.
+    fn random_walks(
+        &self,
+        circuit: &Circuit,
+        walks: usize,
+        steps: usize,
+        seed: u64,
+    ) -> Result<WalkOutcome, ReachError>;
+
+    /// One random walk that also returns the fired transitions (for
+    /// waveform rendering / debugging).
+    ///
+    /// # Errors
+    ///
+    /// As [`EngineVerify::random_walks`].
+    fn record_walk(
+        &self,
+        circuit: &Circuit,
+        steps: usize,
+        seed: u64,
+    ) -> Result<(WalkOutcome, Vec<TransId>), ReachError>;
 }
 
 impl EngineVerify for Engine<'_> {
@@ -73,6 +102,46 @@ impl EngineVerify for Engine<'_> {
     }
 
     fn check_conformance(&self, circuit: &Circuit) -> Result<ConformanceReport, ReachError> {
-        engine_conformance(self, circuit, self.reach_options())
+        engine_conformance(self, circuit)
     }
+
+    fn random_walks(
+        &self,
+        circuit: &Circuit,
+        count: usize,
+        steps: usize,
+        seed: u64,
+    ) -> Result<WalkOutcome, ReachError> {
+        let code0 = initial_code(self)?;
+        let _span = si_obs::span("verify.walks");
+        Ok(walks(self.stg(), circuit, &code0, count, steps, seed, None))
+    }
+
+    fn record_walk(
+        &self,
+        circuit: &Circuit,
+        steps: usize,
+        seed: u64,
+    ) -> Result<(WalkOutcome, Vec<TransId>), ReachError> {
+        let code0 = initial_code(self)?;
+        let _span = si_obs::span("verify.walks");
+        let mut trace = Vec::new();
+        let outcome = walks(
+            self.stg(),
+            circuit,
+            &code0,
+            1,
+            steps,
+            seed,
+            Some(&mut trace),
+        );
+        Ok((outcome, trace))
+    }
+}
+
+/// The wire values of the specification's initial state, read from the
+/// session's encoding (the reachability graph numbers its initial marking
+/// 0).
+pub(crate) fn initial_code(engine: &Engine<'_>) -> Result<Bits, ReachError> {
+    Ok(engine.encoding()?.code(StateId(0)).clone())
 }

@@ -3,29 +3,31 @@
 //! This crate plays the role of the BDD model checker of reference \[32\] in the
 //! paper's flow: every circuit produced by the structural synthesis is
 //! independently verified against its STG specification on the explicit
-//! state space —
+//! state space. The checks are methods of [`EngineVerify`] on the
+//! `si_core::Engine` session, so they share its cached reachability
+//! graph and encoding — the state space is built once however many
+//! checks run:
 //!
-//! * [`verify_circuit`] / [`verify_circuit_with`]: functional correctness
-//!   at every reachable marking plus Property-1 monotonicity of every
-//!   set/reset network;
-//! * [`check_conformance`]: exhaustive product-automaton exploration under
-//!   the unbounded gate delay model, detecting unexpected outputs, disabled
-//!   (hazardous) outputs and starved outputs;
-//! * [`EngineVerify`]: both checks as methods on the `si_core::Engine`
-//!   session, sharing its cached reachability graph.
+//! * [`EngineVerify::verify`]: functional correctness at every reachable
+//!   marking plus Property-1 monotonicity of every set/reset network;
+//! * [`EngineVerify::check_conformance`]: exhaustive product-automaton
+//!   exploration under the unbounded gate delay model, detecting
+//!   unexpected outputs, disabled (hazardous) outputs and starved
+//!   outputs;
+//! * [`EngineVerify::random_walks`]: long random schedules of the same
+//!   product, from the initial wire values alone.
 //!
-//! Both checks are implemented as [`si_petri::space::StateSpace`]s driven
-//! by the workspace's generic explorers: passing `shards > 1` (via
-//! [`si_petri::ReachOptions`] or `Engine::shards`) runs the violation
-//! search and the conformance product on the sharded multi-threaded
-//! explorer, and every failing report carries a firing-sequence
-//! counterexample ([`VerificationReport::trace`],
+//! The first two are implemented as [`si_petri::space::StateSpace`]s
+//! driven by the workspace's generic explorers: `Engine::shards` runs the
+//! violation search and the conformance product on the sharded
+//! multi-threaded explorer, and every failing report carries a
+//! firing-sequence counterexample ([`VerificationReport::trace`],
 //! [`ConformanceReport::trace`]).
 //!
 //! # Examples
 //!
-//! The pipeline spelling — synthesize, verify and conformance-check over
-//! one session, building the reachability graph once:
+//! Synthesize, verify and conformance-check over one session, building
+//! the reachability graph once:
 //!
 //! ```
 //! use si_core::Engine;
@@ -38,9 +40,6 @@
 //! assert!(engine.check_conformance(&syn.circuit)?.is_ok());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
-//!
-//! The one-shot free functions ([`verify_circuit`], [`check_conformance`])
-//! remain as thin wrappers for single calls.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -50,9 +49,7 @@ mod conform;
 mod engine_ext;
 mod sim;
 
-pub use check::{verify_circuit, verify_circuit_with, VerificationReport, Violation};
-pub use conform::{
-    check_conformance, check_conformance_with, ConformanceFailure, ConformanceReport,
-};
+pub use check::{VerificationReport, Violation};
+pub use conform::{ConformanceFailure, ConformanceReport};
 pub use engine_ext::EngineVerify;
-pub use sim::{random_walks, record_walk, WalkOutcome};
+pub use sim::{random_walks, WalkOutcome};

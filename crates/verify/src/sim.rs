@@ -1,16 +1,18 @@
 //! Randomized unbounded-delay simulation.
 //!
-//! [`crate::check_conformance`] explores the circuit × environment product
-//! exhaustively; this module complements it with long *random walks* under
-//! adversarial scheduling — cheap on specifications whose product is too
-//! large to exhaust, and a natural fault-injection harness: a sabotaged
-//! circuit is expected to fail within a few thousand steps.
+//! [`crate::EngineVerify::check_conformance`] explores the circuit ×
+//! environment product exhaustively; this module complements it with long
+//! *random walks* under adversarial scheduling — cheap on specifications
+//! whose product is too large to exhaust, and a natural fault-injection
+//! harness: a sabotaged circuit is expected to fail within a few thousand
+//! steps. The walks run as [`crate::EngineVerify::random_walks`].
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use si_boolean::Bits;
 use si_core::Circuit;
+use si_petri::TransId;
 use si_stg::{SignalId, SignalKind, Stg};
 
 /// Outcome of one random walk.
@@ -50,8 +52,16 @@ impl WalkOutcome {
     }
 }
 
-/// Runs `walks` random schedules of `steps` steps each; returns the first
-/// non-clean outcome, or the clean summary of the longest walk.
+/// One-shot spelling of [`crate::EngineVerify::random_walks`] over a
+/// fresh default [`si_core::Engine`] session. Crate code calls the
+/// method on its own session; this wrapper is kept because the
+/// benchmark's traced run (`perfbench/src/trace.rs`) calls it.
+///
+/// # Panics
+///
+/// Panics when the specification's reachability graph cannot be built
+/// within the default session's 4M-state cap, or the specification is
+/// unsafe or inconsistent.
 pub fn random_walks(
     stg: &Stg,
     circuit: &Circuit,
@@ -59,58 +69,44 @@ pub fn random_walks(
     steps: usize,
     seed: u64,
 ) -> WalkOutcome {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut best = WalkOutcome::Clean { steps: 0 };
-    for w in 0..walks {
-        let outcome = walk(stg, circuit, steps, &mut rng);
-        match outcome {
-            WalkOutcome::Clean { steps: s } => {
-                if let WalkOutcome::Clean { steps: b } = best {
-                    if s > b {
-                        best = WalkOutcome::Clean { steps: s };
-                    }
-                }
-            }
-            other => {
-                let _ = w;
-                return other;
-            }
-        }
-    }
-    best
+    crate::EngineVerify::random_walks(&si_core::Engine::new(stg), circuit, walks, steps, seed)
+        .unwrap_or_else(|e| panic!("random walks need the state space: {e}"))
 }
 
-/// Runs one recorded random walk: returns the outcome plus the fired
-/// transition trace (for waveform rendering / debugging).
-pub fn record_walk(
+/// The walk loop: `count` random schedules of `steps` steps from the
+/// initial wire values `code0`, all drawn from one RNG seeded with
+/// `seed`. Returns the first non-clean outcome, or the clean summary of
+/// the longest walk; `trace` records every fired transition.
+pub(crate) fn walks(
     stg: &Stg,
     circuit: &Circuit,
+    code0: &Bits,
+    count: usize,
     steps: usize,
     seed: u64,
-) -> (WalkOutcome, Vec<si_petri::TransId>) {
+    mut trace: Option<&mut Vec<TransId>>,
+) -> WalkOutcome {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut trace = Vec::new();
-    let outcome = walk_inner(stg, circuit, steps, &mut rng, Some(&mut trace));
-    (outcome, trace)
+    let mut longest = 0;
+    for _ in 0..count {
+        match walk(stg, circuit, code0, steps, &mut rng, trace.as_deref_mut()) {
+            WalkOutcome::Clean { steps } => longest = longest.max(steps),
+            failure => return failure,
+        }
+    }
+    WalkOutcome::Clean { steps: longest }
 }
 
-fn walk(stg: &Stg, circuit: &Circuit, steps: usize, rng: &mut StdRng) -> WalkOutcome {
-    walk_inner(stg, circuit, steps, rng, None)
-}
-
-fn walk_inner(
+fn walk(
     stg: &Stg,
     circuit: &Circuit,
+    code0: &Bits,
     steps: usize,
     rng: &mut StdRng,
-    mut trace: Option<&mut Vec<si_petri::TransId>>,
+    mut trace: Option<&mut Vec<TransId>>,
 ) -> WalkOutcome {
     let net = stg.net();
-    // Initial wire values from the consistent encoding.
-    let rg = si_petri::ReachabilityGraph::build(net, 4_000_000).expect("safe");
-    let enc = si_stg::StateEncoding::compute(stg, &rg).expect("consistent");
-    let s0 = rg.state_of(&net.initial_marking()).expect("initial");
-    let mut code: Bits = enc.code(s0).clone();
+    let mut code = code0.clone();
     let mut marking = net.initial_marking();
 
     let excited = |code: &Bits| -> Vec<SignalId> {
@@ -140,7 +136,7 @@ fn walk_inner(
         }
 
         // Fireable moves: inputs freely, outputs when excited.
-        let mut moves: Vec<si_petri::TransId> = Vec::new();
+        let mut moves: Vec<TransId> = Vec::new();
         for &t in &enabled {
             let sig = stg.signal_of(t);
             let level_ok = code.get(sig.index()) != stg.direction_of(t).target_value();
@@ -184,8 +180,8 @@ fn walk_inner(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use si_core::{synthesize, ImplKind, SynthesisOptions};
+    use crate::EngineVerify;
+    use si_core::{Engine, ImplKind};
 
     #[test]
     fn clean_circuits_walk_clean() {
@@ -194,8 +190,9 @@ mod tests {
             si_stg::benchmarks::vme_read_csc(),
             si_stg::generators::clatch(4),
         ] {
-            let syn = synthesize(&stg, &SynthesisOptions::default()).unwrap();
-            let outcome = random_walks(&stg, &syn.circuit, 8, 4000, 42);
+            let engine = Engine::new(&stg);
+            let syn = engine.synthesize().unwrap();
+            let outcome = engine.random_walks(&syn.circuit, 8, 4000, 42).unwrap();
             assert!(outcome.is_clean(), "{}: {outcome:?}", stg.name());
         }
     }
@@ -203,7 +200,8 @@ mod tests {
     #[test]
     fn fault_injection_is_detected() {
         let stg = si_stg::generators::clatch(3);
-        let mut syn = synthesize(&stg, &SynthesisOptions::default()).unwrap();
+        let engine = Engine::new(&stg);
+        let mut syn = engine.synthesize().unwrap();
         // Sabotage: make z combinational-high whenever any input is high —
         // fires far too early.
         let z = syn.results[0].signal;
@@ -221,16 +219,21 @@ mod tests {
                 inverted: false,
             },
         };
-        let outcome = random_walks(&stg, &syn.circuit, 8, 4000, 7);
+        let outcome = engine.random_walks(&syn.circuit, 8, 4000, 7).unwrap();
         assert!(!outcome.is_clean(), "sabotage must be detected");
     }
 
     #[test]
     fn deterministic_given_seed() {
         let stg = si_stg::benchmarks::half_handshake();
-        let syn = synthesize(&stg, &SynthesisOptions::default()).unwrap();
-        let a = random_walks(&stg, &syn.circuit, 2, 500, 99);
-        let b = random_walks(&stg, &syn.circuit, 2, 500, 99);
+        let engine = Engine::new(&stg);
+        let syn = engine.synthesize().unwrap();
+        let a = engine.random_walks(&syn.circuit, 2, 500, 99).unwrap();
+        let b = engine.random_walks(&syn.circuit, 2, 500, 99).unwrap();
         assert_eq!(a, b);
+        // The recorded walk is the first walk of the same seed.
+        let (one, trace) = engine.record_walk(&syn.circuit, 500, 99).unwrap();
+        assert_eq!(one, engine.random_walks(&syn.circuit, 1, 500, 99).unwrap());
+        assert_eq!(trace.len(), 500);
     }
 }

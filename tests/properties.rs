@@ -65,7 +65,7 @@ proptest! {
             Err(sisyn::core::SynthesisError::CscViolationPossible { .. }) => return Ok(()),
             Err(e) => panic!("unexpected synthesis failure: {e}"),
         };
-        let report = verify_circuit(&stg, &syn.circuit);
+        let report = Engine::new(&stg).verify(&syn.circuit).unwrap();
         prop_assert!(report.is_ok(), "{:?}", &report.violations[..report.violations.len().min(2)]);
     }
 

@@ -25,7 +25,7 @@ fn philosophers_synthesize_without_free_choice() {
     assert!(!stg.net().is_free_choice());
     let syn = synthesize(&stg, &SynthesisOptions::default()).unwrap();
     assert_eq!(syn.results.len(), 4); // one done_i per philosopher
-    assert!(verify_circuit(&stg, &syn.circuit).is_ok());
+    assert!(Engine::new(&stg).verify(&syn.circuit).unwrap().is_ok());
 }
 
 #[test]
@@ -34,7 +34,7 @@ fn muller_pipeline_synthesizes_and_verifies() {
         let stg = generators::muller_pipeline(n);
         let syn = synthesize(&stg, &SynthesisOptions::default()).unwrap();
         assert_eq!(syn.results.len(), n);
-        let report = verify_circuit(&stg, &syn.circuit);
+        let report = Engine::new(&stg).verify(&syn.circuit).unwrap();
         assert!(report.is_ok(), "muller({n}): {:?}", &report.violations[..1]);
     }
 }
@@ -53,6 +53,10 @@ fn generator_families_grow_linearly_in_stg_size() {
 fn selector_and_sequencer_synthesize() {
     for stg in [generators::selector(4), generators::sequencer(4)] {
         let syn = synthesize(&stg, &SynthesisOptions::default()).unwrap();
-        assert!(verify_circuit(&stg, &syn.circuit).is_ok(), "{}", stg.name());
+        assert!(
+            Engine::new(&stg).verify(&syn.circuit).unwrap().is_ok(),
+            "{}",
+            stg.name()
+        );
     }
 }

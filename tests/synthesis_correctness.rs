@@ -22,7 +22,7 @@ fn structural_flow_verifies_everywhere() {
                 };
                 let syn = synthesize(&stg, &opts)
                     .unwrap_or_else(|e| panic!("{} {arch:?} M{stage}: {e}", stg.name()));
-                let report = verify_circuit(&stg, &syn.circuit);
+                let report = Engine::new(&stg).verify(&syn.circuit).unwrap();
                 assert!(
                     report.is_ok(),
                     "{} {arch:?} M{stage}: {:?}",
@@ -37,8 +37,9 @@ fn structural_flow_verifies_everywhere() {
 #[test]
 fn structural_flow_is_conformant() {
     for stg in benchmarks::synthesizable_suite() {
-        let syn = synthesize(&stg, &SynthesisOptions::default()).unwrap();
-        let conform = check_conformance(&stg, &syn.circuit, 2_000_000).unwrap();
+        let engine = Engine::new(&stg).cap(2_000_000);
+        let syn = engine.synthesize().unwrap();
+        let conform = engine.check_conformance(&syn.circuit).unwrap();
         assert!(
             conform.is_ok(),
             "{}: {:?}",
@@ -51,13 +52,15 @@ fn structural_flow_is_conformant() {
 #[test]
 fn baseline_flow_verifies_everywhere() {
     for stg in benchmarks::synthesizable_suite() {
+        let engine = Engine::new(&stg).cap(1_000_000);
         for flavor in [
             BaselineFlavor::ComplexGateExact,
             BaselineFlavor::ExcitationExact,
         ] {
-            let syn = synthesize_state_based(&stg, flavor, 1_000_000)
+            let syn = engine
+                .synthesize_state_based(flavor)
                 .unwrap_or_else(|e| panic!("{} {flavor:?}: {e}", stg.name()));
-            let report = verify_circuit(&stg, &syn.circuit);
+            let report = engine.verify(&syn.circuit).unwrap();
             assert!(
                 report.is_ok(),
                 "{} {flavor:?}: {:?}",
@@ -76,7 +79,10 @@ fn structural_area_is_competitive_with_baseline() {
     let mut baseline_total = 0usize;
     for stg in benchmarks::synthesizable_suite() {
         let s = synthesize(&stg, &SynthesisOptions::default()).unwrap();
-        let b = synthesize_state_based(&stg, BaselineFlavor::ExcitationExact, 1_000_000).unwrap();
+        let b = Engine::new(&stg)
+            .cap(1_000_000)
+            .synthesize_state_based(BaselineFlavor::ExcitationExact)
+            .unwrap();
         structural_total += s.literal_area;
         baseline_total += b.literal_area;
     }
