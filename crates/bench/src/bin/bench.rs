@@ -10,9 +10,8 @@
 //! * `conc_naive_ms` / `conc_batched_ms` — pairwise-worklist vs batched
 //!   word-parallel concurrency fixpoint;
 //! * `synth_ms` — the full structural synthesis flow;
-//! * `shard_scaling` — the sharded parallel reachability engine
-//!   (`ReachabilityGraph::build_sharded`) against the sequential engine on
-//!   the exponentially-growing `clatch(n)` family, at 1/2/4/8 shards;
+//! * `shard_scaling` — reachability (`ReachabilityGraph::build_with`) at
+//!   1/2/4/8 shards on the exponentially-growing `clatch(n)` family;
 //! * `minimizer_backends` — literal counts and wall time of the pluggable
 //!   two-level minimizer backends (espresso / exact / bdd / auto) on the
 //!   complex-gate synthesis of the large set;
@@ -60,7 +59,7 @@
 use si_bench::{fmt_duration, large_set, small_set};
 use si_boolean::MinimizerChoice;
 use si_core::{synthesize, Architecture, SynthesisOptions};
-use si_petri::{ConcurrencyRelation, ReachabilityGraph, SymbolicReach};
+use si_petri::{ConcurrencyRelation, ReachOptions, ReachabilityGraph, SymbolicReach};
 use si_stg::Stg;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -225,7 +224,7 @@ fn measure_shard_scaling(cfg: &Config) -> (usize, Vec<usize>, Vec<ShardEntry>) {
         for &k in &counts {
             let extra = if k == 1 { iters - 1 } else { iters };
             let mut d = best_of(extra, || {
-                ReachabilityGraph::build_sharded(net, cap, k).unwrap()
+                ReachabilityGraph::build_with(net, ReachOptions::with_cap(cap).shards(k)).unwrap()
             });
             if k == 1 {
                 d = d.min(first_seq);

@@ -95,18 +95,15 @@ fn enabled_profile_span_tree_is_well_formed() {
     let spans = si_obs::span_snapshot();
     si_obs::set_enabled(false);
 
-    // Shape: `reach.build` is a root with the sequential explorer below
-    // it, called once per spec.
+    // Shape: `reach.build` is a root with the explorer below it, called
+    // once per spec.
     let build = spans
         .iter()
         .find(|s| s.name == "reach.build")
         .expect("reach.build span present");
     assert_eq!(build.calls, si_bench::large_set().len() as u64);
     assert!(
-        build
-            .children
-            .iter()
-            .any(|c| c.name == "explore.sequential"),
+        build.children.iter().any(|c| c.name == "explore"),
         "exploration runs under the build span"
     );
 

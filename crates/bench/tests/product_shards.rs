@@ -1,10 +1,11 @@
 //! Sharded conformance-product equivalence on the large benchmark set:
 //! exploring the spec×circuit product with 2/4/8 explorer shards must
-//! return the **same verdict** as the sequential explorer, and every
-//! failing report must carry a **valid witness** — a firing sequence that
-//! replays, under the product semantics (fire the STG transition, toggle
-//! the signal's wire), from the initial product state without ever
-//! stepping through a disabled transition.
+//! return the **same report** as one shard — verdict, failures, state
+//! count and counterexample trace — and every failing report must carry
+//! a **valid witness**: a firing sequence that replays, under the product
+//! semantics (fire the STG transition, toggle the signal's wire), from
+//! the initial product state without ever stepping through a disabled
+//! transition.
 //!
 //! Each member is exercised both with its (conformant) synthesized
 //! circuit and with a sabotaged one whose first implementation is stuck
@@ -98,10 +99,9 @@ proptest! {
             shards,
             sabotage
         );
-        // On a conformant circuit both explorers walk the whole product.
-        if seq.is_ok() {
-            prop_assert_eq!(seq.states_explored, par.states_explored);
-        }
+        prop_assert_eq!(seq.states_explored, par.states_explored);
+        prop_assert_eq!(&seq.failures, &par.failures);
+        prop_assert_eq!(&seq.trace, &par.trace);
         assert_witness_replays(&m.stg, &seq, m.stg.name());
         assert_witness_replays(&m.stg, &par, m.stg.name());
     }

@@ -44,6 +44,44 @@ use si_stg::{EncodingError, StateEncoding, Stg, SymbolicAnalysis};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
+/// Why the session has no state encoding to give: its reachability graph
+/// could not be built, or the specification's behaviour leaves a signal
+/// value ill-defined (a declared signal that never switches, or
+/// contradictory values at one marking).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum StateGraphError {
+    /// The reachability graph build failed or ran out of budget.
+    Reach(ReachError),
+    /// The reachable markings do not determine a consistent encoding.
+    Encoding(EncodingError),
+}
+
+impl StateGraphError {
+    /// Whether the failure means "analysis ran out of budget" rather
+    /// than "the specification is defective" (see
+    /// [`ReachError::is_inconclusive`]).
+    pub fn is_inconclusive(&self) -> bool {
+        matches!(self, StateGraphError::Reach(e) if e.is_inconclusive())
+    }
+}
+
+impl From<ReachError> for StateGraphError {
+    fn from(e: ReachError) -> Self {
+        StateGraphError::Reach(e)
+    }
+}
+
+impl std::fmt::Display for StateGraphError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            StateGraphError::Reach(e) => e.fmt(f),
+            StateGraphError::Encoding(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for StateGraphError {}
+
 /// Which reachability backend answers the session's state-space queries.
 ///
 /// The explicit explorer is the oracle and the default; the symbolic BDD
@@ -306,29 +344,24 @@ impl<'a> Engine<'a> {
             .map_err(Clone::clone)
     }
 
-    /// The cached encoding computation (built on first use, inconsistency
-    /// kept as a value so each caller can map it to its own error type).
-    fn encoding_entry(&self) -> Result<&Result<StateEncoding, EncodingError>, ReachError> {
-        let rg = self.reachability()?;
-        Ok(self.enc.get_or_init(|| {
-            let _span = si_obs::span("stg.encode");
-            StateEncoding::compute(self.stg, rg)
-        }))
-    }
-
     /// The cached state encoding over [`Engine::reachability`].
     ///
     /// # Errors
     ///
-    /// Propagates the reachability error.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the STG is behaviourally inconsistent (verification
-    /// callers only pass synthesizable inputs, which never are; the
-    /// state-based baseline reports inconsistency as a value instead).
-    pub fn encoding(&self) -> Result<&StateEncoding, ReachError> {
-        Ok(self.encoding_entry()?.as_ref().expect("consistent STG"))
+    /// [`StateGraphError::Reach`] with the reachability error, or
+    /// [`StateGraphError::Encoding`] when the reachable markings leave a
+    /// signal's value undetermined or contradictory — structural checks
+    /// accept such specs (a declared signal that never switches), so
+    /// spec text can reach this.
+    pub fn encoding(&self) -> Result<&StateEncoding, StateGraphError> {
+        let rg = self.reachability()?;
+        self.enc
+            .get_or_init(|| {
+                let _span = si_obs::span("stg.encode");
+                StateEncoding::compute(self.stg, rg)
+            })
+            .as_ref()
+            .map_err(|e| StateGraphError::Encoding(e.clone()))
     }
 
     /// The configured backend choice.
@@ -516,11 +549,10 @@ impl<'a> Engine<'a> {
         flavor: BaselineFlavor,
     ) -> Result<crate::statebased::BaselineSynthesis, BaselineError> {
         let rg = self.reachability().map_err(BaselineError::StateExplosion)?;
-        let enc = self
-            .encoding_entry()
-            .map_err(BaselineError::StateExplosion)?
-            .as_ref()
-            .map_err(|e| BaselineError::Inconsistent(e.clone()))?;
+        let enc = self.encoding().map_err(|e| match e {
+            StateGraphError::Reach(e) => BaselineError::StateExplosion(e),
+            StateGraphError::Encoding(e) => BaselineError::Inconsistent(e),
+        })?;
         synthesize_state_based_on(self.stg, flavor, rg, enc, self.options.minimizer)
     }
 }

@@ -59,7 +59,7 @@ pub use context::{
 };
 pub use csc::{apply_insertion, no_conflict_resolution, sentinel_plan, InsertionPlan};
 pub use cubes::PlaceCubes;
-pub use engine::{Analysis, Backend, Engine};
+pub use engine::{Analysis, Backend, Engine, StateGraphError};
 pub use netlist::to_verilog;
 pub use statebased::{BaselineError, BaselineFlavor, BaselineSynthesis};
 pub use synthesis::{

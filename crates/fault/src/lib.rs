@@ -1,7 +1,8 @@
 //! Deterministic fault injection and panic-tolerance utilities.
 //!
-//! The worker pools of this workspace (the sharded state-space explorer,
-//! parallel per-signal synthesis, CSC candidate scoring) promise to
+//! The worker pools of this workspace (the state-space explorer's
+//! expansion threads, parallel per-signal synthesis, CSC candidate
+//! scoring) promise to
 //! survive a panicking worker: the panic is caught, converted into a
 //! structured `WorkerPanicked` error through the pool's first-error-wins
 //! slot, and the process stays alive. This crate provides both halves of
@@ -209,8 +210,17 @@ macro_rules! fail_trigger {
 mod tests {
     use super::*;
 
+    /// The registry is process-global and the test harness runs tests in
+    /// parallel: a `reset` in one test must not disarm another's fault
+    /// between its `arm` and its `hit`.
+    fn serial() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        relock(&LOCK)
+    }
+
     #[test]
     fn unarmed_hits_are_free_and_false() {
+        let _guard = serial();
         reset();
         assert!(!hit("nowhere", 7));
         assert_eq!(armed_count(), 0);
@@ -218,6 +228,7 @@ mod tests {
 
     #[test]
     fn trigger_fires_once_on_matching_value() {
+        let _guard = serial();
         reset();
         arm("t::site", Some(3), FaultAction::Trigger);
         assert!(!hit("t::site", 2), "value mismatch must not fire");
@@ -229,6 +240,7 @@ mod tests {
 
     #[test]
     fn panic_action_panics_and_is_isolated() {
+        let _guard = serial();
         reset();
         arm("t::panic", None, FaultAction::Panic);
         let r = run_isolated(|| hit("t::panic", 0));

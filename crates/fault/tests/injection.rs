@@ -1,11 +1,11 @@
 //! The deterministic fault-injection suite: drives the real worker pools
-//! of the workspace — the sharded state-space explorer, parallel
-//! per-signal synthesis, CSC candidate scoring, the serve job queue and
-//! artifact store — with faults armed at
-//! their named failpoints, and asserts the robustness contract: every
-//! injected panic surfaces as a structured `WorkerPanicked` (process
-//! intact), stalls never deadlock the termination counter, and a
-//! simulated cap burst degrades into the ordinary cap verdict.
+//! of the workspace — the state-space explorer's expansion threads,
+//! parallel per-signal synthesis, CSC candidate scoring, the serve job
+//! queue and artifact store — with faults armed at their named
+//! failpoints, and asserts the robustness contract: every injected panic
+//! surfaces as a structured `WorkerPanicked` (process intact), a stalled
+//! thread never changes the result, and a simulated cap burst degrades
+//! into the ordinary cap verdict.
 //!
 //! Requires the `failpoints` feature (CI runs
 //! `cargo test -p si-fault --features failpoints`); without it the
@@ -81,25 +81,28 @@ fn first_worker_panic_wins_and_only_one_is_reported() {
 }
 
 #[test]
-fn flush_stall_does_not_deadlock_and_the_sealed_graph_is_identical() {
+fn worker_stall_terminates_with_the_one_shard_graph() {
     let _guard = serial();
     reset();
     let stg = si_stg::generators::clatch(6);
     let net = stg.net();
-    // Delay one cross-shard publish: the in-flight counter must keep the
-    // receiver spinning until the batch lands, and the canonical seal must
-    // still reproduce the sequential graph bit for bit.
+    // Delay one slice's expansion: the merge waits for it and then
+    // reproduces the one-shard graph bit for bit.
     arm(
-        "shard::flush",
-        None,
+        "shard::worker",
+        Some(1),
         FaultAction::Stall(Duration::from_millis(50)),
     );
     let par =
         ReachabilityGraph::build_with(net, ReachOptions::with_cap(1_000_000).shards(4)).unwrap();
+    assert_eq!(armed_count(), 0, "the stall must have fired");
     let seq = ReachabilityGraph::build(net, 1_000_000).unwrap();
     assert_eq!(seq.state_count(), par.state_count());
     assert_eq!(seq.edge_count(), par.edge_count());
-    assert_eq!(armed_count(), 0, "the stall must have fired");
+    for s in seq.states() {
+        assert_eq!(seq.marking(s), par.marking(s), "marking of {s:?}");
+        assert_eq!(seq.successors(s), par.successors(s), "succs of {s:?}");
+    }
     reset();
 }
 

@@ -29,13 +29,11 @@ use std::time::{Duration, Instant};
 /// — a reachability *graph* is an all-or-nothing artifact, so budget
 /// exhaustion is an error here even though the underlying explorers
 /// return partial results (verdict-style clients consume those).
-/// `shards` selects the engine: `1` runs the sequential word-parallel
-/// builder, anything larger runs the sharded multi-threaded builder of
-/// [`crate::shard`] with that many workers. Worker counts are powers of
-/// two ≤ 64: the [`Self::shards`] setter and [`Self::auto`] normalize,
-/// and [`ReachabilityGraph::build_sharded`] rounds a raw field value up
-/// itself. All engines produce the *same* graph (state numbering
-/// included); see [`ReachabilityGraph::build_sharded`].
+/// `shards` is the number of slices each batch of frontier states is
+/// expanded in, in parallel (see [`crate::space::explore`]); it changes
+/// the speed, never the graph (state numbering included). Shard counts
+/// are powers of two ≤ 64: the [`Self::shards`] setter and
+/// [`Self::auto`] normalize.
 ///
 /// # Examples
 ///
@@ -54,7 +52,7 @@ pub struct ReachOptions {
     /// Resource budget of the exploration (state cap, byte ceiling,
     /// deadline, cancellation).
     pub budget: Budget,
-    /// Number of exploration shards (= worker threads when > 1).
+    /// Number of exploration shards (= expansion threads when > 1).
     pub shards: usize,
 }
 
@@ -105,11 +103,10 @@ impl ReachOptions {
 
     /// Picks the shard count from the machine's available parallelism:
     /// sequential on a single-core box, otherwise the hardware-thread
-    /// count rounded **down** to a power of two (capped at 64) — idle
-    /// shard workers busy-wait, so oversubscribing the machine would slow
-    /// the workers doing real exploration. The stored `shards` value is
-    /// already normalized, so it equals the worker count the sharded
-    /// engine will actually run.
+    /// count rounded **down** to a power of two (capped at 64), so no
+    /// expansion thread waits for a core. The stored `shards` value is
+    /// already normalized, so it equals the slice count the explorer
+    /// will actually run.
     pub fn auto(cap: usize) -> Self {
         let n = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -163,10 +160,10 @@ pub enum ReachError {
         /// The transition whose firing violated safeness.
         transition: TransId,
     },
-    /// A worker thread of the sharded engine panicked; the panic was
-    /// caught at the worker boundary and the process is intact.
+    /// The expansion of one shard's slice panicked; the panic was caught
+    /// at the slice boundary and the process is intact.
     WorkerPanicked {
-        /// Index of the shard whose worker panicked.
+        /// Index of the slice whose expansion panicked.
         shard: usize,
         /// The panic message.
         message: String,
@@ -221,9 +218,8 @@ impl std::error::Error for ReachError {}
 /// no clones, no `Hasher` machinery. The table stores `u32` state indices
 /// probed by a multiplicative hash of the words.
 ///
-/// Crate-visible: the sharded engine ([`crate::shard`]) gives each worker
-/// thread one private interner, so the ids it hands out are *shard-local*
-/// there and only become global after the seal phase.
+/// Crate-visible: the generic explorer ([`crate::space::explore`])
+/// interns every state space's states in one.
 #[derive(Clone, Debug)]
 pub(crate) struct MarkingInterner {
     /// Flat key storage: marking `s` is `words[s*nwords .. (s+1)*nwords]`.
@@ -406,31 +402,51 @@ impl ReachabilityGraph {
         Self::build_with(net, ReachOptions::with_cap(cap))
     }
 
-    /// Maps a partial exploration's interruption tag onto the
-    /// corresponding [`ReachError`] — a graph is an all-or-nothing
-    /// artifact, so any interruption fails the build (carrying how far
-    /// the exploration got).
-    fn check_interrupt(expl: &crate::space::Exploration<ReachError>) -> Result<(), ReachError> {
-        match expl.interrupted {
-            None => Ok(()),
-            Some(InterruptReason::CapExceeded) => {
-                Err(ReachError::StateCapExceeded { cap: expl.states })
+    /// Explores the state space with the generic explorer under
+    /// `options` — its shard count sets how many threads expand each
+    /// batch of states, and changes nothing in the result.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Self::build`], plus [`ReachError::Interrupted`]
+    /// when a soft budget dimension (deadline, cancellation, byte
+    /// ceiling) runs out and [`ReachError::WorkerPanicked`] when an
+    /// expansion thread dies (caught; the process is intact). The error
+    /// is the same at every shard count: the first one in breadth-first
+    /// expansion order.
+    pub fn build_with(net: &PetriNet, options: ReachOptions) -> Result<Self, ReachError> {
+        use crate::space::{
+            explore, ExploreError, ExploreOptions, MarkingSpace, ScalarMarkingSpace,
+        };
+        let _span = si_obs::span("reach.build");
+        si_obs::counter_inc("reach.builds");
+        let opts = ExploreOptions::from(&options).record_edges();
+        let expl = if net.initial_marking().as_words().len() == 1 {
+            explore(&ScalarMarkingSpace::new(net), opts)
+        } else {
+            explore(&MarkingSpace::new(net), opts)
+        };
+        let expl = expl.map_err(|e| match e {
+            ExploreError::Fatal(e) => e,
+            ExploreError::WorkerPanicked { shard, message } => {
+                ReachError::WorkerPanicked { shard, message }
             }
-            Some(reason) => Err(ReachError::Interrupted {
-                reason,
-                states_explored: expl.states,
-                elapsed_ms: expl.elapsed.as_millis() as u64,
-            }),
+        })?;
+        // A graph is an all-or-nothing artifact, so any interruption fails
+        // the build (carrying how far the exploration got).
+        match expl.interrupted {
+            None => {}
+            Some(InterruptReason::CapExceeded) => {
+                return Err(ReachError::StateCapExceeded { cap: expl.states })
+            }
+            Some(reason) => {
+                return Err(ReachError::Interrupted {
+                    reason,
+                    states_explored: expl.states,
+                    elapsed_ms: expl.elapsed.as_millis() as u64,
+                })
+            }
         }
-    }
-
-    /// Packs a marking-space [`crate::space::Exploration`] (sequential
-    /// engine, edge recording on) into the CSR/interned representation.
-    fn from_exploration(
-        net: &PetriNet,
-        expl: crate::space::Exploration<ReachError>,
-    ) -> Result<Self, ReachError> {
-        Self::check_interrupt(&expl)?;
         let np = net.place_count();
         let (interner, succ_edges, succ_ranges) = expl.into_interned_parts();
         let markings: Vec<Marking> = (0..interner.len())
@@ -449,79 +465,8 @@ impl ReachabilityGraph {
         ))
     }
 
-    /// Explores the state space with the engine selected by `options`:
-    /// sequential ([`Self::build`]) for `shards == 1`, the sharded
-    /// multi-threaded engine ([`Self::build_sharded`]) otherwise.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::build`], plus [`ReachError::Interrupted`]
-    /// when a soft budget dimension (deadline, cancellation, byte
-    /// ceiling) runs out and [`ReachError::WorkerPanicked`] when a
-    /// sharded worker dies (caught; the process is intact).
-    pub fn build_with(net: &PetriNet, options: ReachOptions) -> Result<Self, ReachError> {
-        use crate::space::{explore, ExploreOptions, MarkingSpace, ScalarMarkingSpace};
-        let _span = si_obs::span("reach.build");
-        si_obs::counter_inc("reach.builds");
-        let opts = ExploreOptions::from(&options).record_edges();
-        if options.shards <= 1 {
-            let nw = net.initial_marking().as_words().len();
-            let expl = if nw == 1 {
-                explore(&ScalarMarkingSpace::new(net), opts)
-            } else {
-                explore(&MarkingSpace::new(net), opts)
-            };
-            Self::from_exploration(net, expl.map_err(Self::unwrap_explore_error)?)
-        } else {
-            let space = MarkingSpace::new(net);
-            let expl =
-                crate::shard::explore_sharded(&space, opts).map_err(Self::unwrap_explore_error)?;
-            Self::check_interrupt(&expl)?;
-            Ok(crate::shard::seal(net, &expl))
-        }
-    }
-
-    /// Flattens the generic explorer error into [`ReachError`] (whose
-    /// fatal-violation payload *is* a `ReachError`).
-    fn unwrap_explore_error(e: crate::space::ExploreError<ReachError>) -> ReachError {
-        match e {
-            crate::space::ExploreError::Fatal(e) => e,
-            crate::space::ExploreError::WorkerPanicked { shard, message } => {
-                ReachError::WorkerPanicked { shard, message }
-            }
-        }
-    }
-
-    /// Explores the state space in parallel across `shards` worker threads,
-    /// each owning one hash-partition of the marking interner (see
-    /// [`crate::shard`] for the pipeline).
-    ///
-    /// The result is **bit-identical** to [`Self::build`] — same state
-    /// numbering, same adjacency — because the parallel phase is followed by
-    /// a canonical renumbering replaying the sequential exploration order
-    /// over the already-discovered graph. Callers can therefore switch
-    /// engines freely; property tests pin the equivalence on the full
-    /// random-net corpus.
-    ///
-    /// `shards` is clamped to `[1, 64]` and rounded up to a power of two;
-    /// `shards <= 1` falls back to the sequential engine.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::build`], with one caveat: the *first*
-    /// failure a racing worker hits wins. On a net with several safeness
-    /// violations, *which* transition a [`ReachError::NotSafe`] reports is
-    /// scheduling-dependent; on a net that is both unsafe **and** larger
-    /// than `cap`, even the error kind (`NotSafe` vs `StateCapExceeded`)
-    /// may differ from run to run and from the sequential engine. On safe
-    /// nets the cap error is deterministic and identical to
-    /// [`Self::build`]'s.
-    pub fn build_sharded(net: &PetriNet, cap: usize, shards: usize) -> Result<Self, ReachError> {
-        Self::build_with(net, ReachOptions::with_cap(cap).shards(shards))
-    }
-
     /// Process-wide number of reachability-graph constructions completed so
-    /// far (every engine: sequential, sharded and naive).
+    /// far (both engines: interned and naive).
     ///
     /// This is the **build-count hook** behind the `Engine` artifact-cache
     /// guarantee: tests snapshot it, run a synth-then-verify pipeline, and
@@ -533,7 +478,7 @@ impl ReachabilityGraph {
 
     /// Builds the predecessor CSR and the excitation-region index from the
     /// successor adjacency in one fused pass over the edges.
-    pub(crate) fn index_edges(
+    fn index_edges(
         nt: usize,
         markings: Vec<Marking>,
         mut interner: MarkingInterner,
@@ -584,9 +529,10 @@ impl ReachabilityGraph {
     }
 
     /// The original textbook implementation: `HashMap<Marking, StateId>`
-    /// interning with per-place enable/fire loops. Kept verbatim as the
-    /// equivalence oracle for property tests and as the "before" side of
-    /// `BENCH_substrates.json`.
+    /// interning with per-place enable/fire loops and a FIFO frontier.
+    /// Kept as the equivalence oracle for property tests (it numbers
+    /// states in the same breadth-first order as [`Self::build`]) and as
+    /// the "before" side of `BENCH_substrates.json`.
     ///
     /// # Errors
     ///
@@ -597,8 +543,8 @@ impl ReachabilityGraph {
         let mut index = HashMap::new();
         index.insert(m0, StateId(0));
         let mut succs: Vec<Vec<(TransId, StateId)>> = vec![Vec::new()];
-        let mut frontier = vec![StateId(0)];
-        while let Some(s) = frontier.pop() {
+        let mut frontier = std::collections::VecDeque::from([StateId(0)]);
+        while let Some(s) = frontier.pop_front() {
             let m = markings[s.index()].clone();
             for t in net.transitions() {
                 if !net.is_enabled_naive(&m, t) {
@@ -621,7 +567,7 @@ impl ReachabilityGraph {
                         markings.push(m2.clone());
                         index.insert(m2, id);
                         succs.push(Vec::new());
-                        frontier.push(id);
+                        frontier.push_back(id);
                         id
                     }
                 };
@@ -636,7 +582,7 @@ impl ReachabilityGraph {
     }
 
     /// Packs naive adjacency lists into the CSR/interned representation.
-    pub(crate) fn from_adjacency(
+    fn from_adjacency(
         nt: usize,
         markings: Vec<Marking>,
         succs: &[Vec<(TransId, StateId)>],

@@ -1,64 +1,72 @@
-//! The generic state-space layer: one lazy-successor abstraction, one
-//! sequential explorer and one sharded explorer behind every traversal.
+//! The generic state-space layer: one lazy-successor abstraction and one
+//! breadth-first explorer behind every traversal.
 //!
-//! Reachability-graph construction, speed-independence verification and
-//! product-automaton conformance checking are all the same computation —
-//! enumerate the states reachable from an initial packed state, watch for
-//! violations along the way — yet they historically each hand-rolled their
-//! own loop, and only reachability got the sharded parallel engine. This
-//! module factors the traversal out:
+//! Reachability-graph construction, speed-independence verification,
+//! product-automaton conformance checking and CFSM deadlock checking are
+//! all the same computation — enumerate the states reachable from an
+//! initial packed state, watch for violations along the way. This module
+//! factors the traversal out:
 //!
 //! * [`StateSpace`] — a state space as data: a packed-word state format,
 //!   an [`initial`](StateSpace::initial) state, a lazy
 //!   [`for_each_successor`](StateSpace::for_each_successor) function and a
 //!   [`Verdict`]-producing [`inspect`](StateSpace::inspect) hook;
-//! * [`explore`] — the sequential explorer (LIFO frontier + marking-style
-//!   interner, the exact discipline of the word-parallel reachability
-//!   engine);
-//! * [`crate::shard::explore_sharded`] — the hash-partitioned parallel
-//!   explorer (one interner shard + worker thread per partition, batched
-//!   cross-shard queues, in-flight-counter termination);
+//! * [`explore`] — the explorer: breadth-first over a flat-arena
+//!   interner, expanding bounded batches of frontier states in
+//!   `shards` parallel slices and merging them in id order;
 //! * [`ExploreOptions`] / [`Exploration`] — one knob set (cap, shard
 //!   count, violation budget, edge recording, witness reconstruction) and
 //!   one result shape for every client.
 //!
 //! ```text
-//!    spaces                     explorers                clients
-//!   ┌───────────────┐     ┌──────────────────────┐    ┌──────────────────┐
-//!   │ MarkingSpace  │────▶│ explore (sequential) │───▶│ ReachabilityGraph│
-//!   │ (firing rule) │  ┌─▶│                      │    │ ::build[_sharded]│
-//!   ├───────────────┤  │  ├──────────────────────┤    ├──────────────────┤
-//!   │ SI-verify     │──┤  │ shard::              │───▶│ Engine::verify   │
-//!   │ (rg walk)     │  │  │   explore_sharded    │    ├──────────────────┤
-//!   ├───────────────┤  │  │ (hash-partitioned,   │    │ conform::        │
-//!   │ spec×circuit  │──┤  │  N workers)          │    │   check_*        │
-//!   │ product       │  │  └──────────────────────┘    ├──────────────────┤
-//!   ├───────────────┤  │                              │ si_proto::       │
-//!   │ CFSM channel  │──┘                              │   check_deadlock │
-//!   │ protocols     │                                 └──────────────────┘
-//!   └───────────────┘
+//!    spaces                    explorer                         clients
+//!   ┌───────────────┐   ┌─────────────────────────────┐   ┌──────────────────┐
+//!   │ MarkingSpace  │──▶│ explore                     │──▶│ ReachabilityGraph│
+//!   │ (firing rule) │ ┌▶│                             │   │ ::build_with     │
+//!   ├───────────────┤ │ │  frontier = ids next..len   │   ├──────────────────┤
+//!   │ SI-verify     │─┤ │  batch ─▶ slice 0 │ slice 1 │──▶│ Engine::verify   │
+//!   │ (rg walk)     │ │ │  (inspect + successors into │   ├──────────────────┤
+//!   ├───────────────┤ │ │   private buffers, threads) │   │ conform::        │
+//!   │ spec×circuit  │─┤ │         │                   │   │   check_*        │
+//!   │ product       │ │ │         ▼                   │   ├──────────────────┤
+//!   ├───────────────┤ │ │  merge in id order: intern, │──▶│ si_proto::       │
+//!   │ CFSM channel  │─┘ │  cap, edges, parents,       │   │   check_deadlock │
+//!   │ protocols     │   │  violations, fatal error    │   └──────────────────┘
+//!   └───────────────┘   └─────────────────────────────┘
 //! ```
 //!
 //! The abstraction is not Petri-net shaped: `si_proto::ProtoSpace` packs
 //! communicating finite-state machines (module control states + channel
-//! slots) into the same word format and gets sequential + sharded
-//! deadlock checking from these explorers unchanged.
+//! slots) into the same word format and gets deadlock checking from this
+//! explorer unchanged.
 //!
-//! Both explorers intern states in one flat word arena, support a state
-//! cap, stop early once the violation budget is spent, and can reconstruct
-//! a firing-sequence **witness** (the label path from the initial state to
-//! any discovered state) — which is how verification and conformance
-//! reports grow counterexample traces for free.
+//! States take ids in breadth-first discovery order, so the
+//! firing-sequence **witness** [`Exploration::witness`] reconstructs (the
+//! label path from the initial state to any discovered state) is a
+//! shortest one — which is how verification, conformance and deadlock
+//! reports grow counterexample traces for free. Only the expansion runs
+//! in parallel; the merge applies the one-worker rules in id order, so
+//! the whole [`Exploration`] — ids, edges, violations, witnesses, errors
+//! — is the same at every shard count.
 
 use crate::budget::{Budget, Interrupt, InterruptReason};
 use crate::net::{FiringView, PetriNet, TransId};
-use crate::reach::{MarkingInterner, ReachError, StateId};
+use crate::reach::{MarkingInterner, ReachError};
+use si_fault::{fail_point, fail_trigger, run_isolated};
 use std::time::{Duration, Instant};
 
-/// How often (in explored states) the sequential explorer consults the
-/// soft budget limits (deadline / cancellation / bytes). The sharded
-/// explorer piggybacks on its own per-64-states checkpoint.
+/// How often (in merged states) the explorer consults the soft budget
+/// limits (deadline / cancellation / bytes).
 const GOVERN_STRIDE: usize = 256;
+
+/// Frontier states one slice expands per batch. A bound, not a whole
+/// breadth-first level, so the buffered successors stay small next to
+/// the interner.
+const BATCH_PER_SHARD: usize = 2048;
+
+/// Batches with fewer states than this expand their slices on the
+/// calling thread: a thread start would cost more than it saves.
+const INLINE_BELOW: usize = 512;
 
 /// Outcome of inspecting one state.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -88,12 +96,12 @@ pub trait SpaceVisitor<V> {
 /// A lazily-defined state space over packed `u64`-word states.
 ///
 /// Implementations define *what* the states and successors are; the
-/// explorers of this module define *how* the space is walked. A space must
-/// be [`Sync`]: the sharded explorer shares it by reference across worker
+/// explorer of this module defines *how* the space is walked. A space must
+/// be [`Sync`]: the explorer shares it by reference across its expansion
 /// threads.
 ///
 /// States are fixed-width word vectors ([`Self::words`] words each): the
-/// explorers intern them in a flat arena exactly like reachability
+/// explorer interns them in a flat arena exactly like reachability
 /// markings, so a space never sees its own visited set — it only maps a
 /// state to its successors (and violations).
 pub trait StateSpace: Sync {
@@ -111,7 +119,7 @@ pub trait StateSpace: Sync {
     /// Per-state verdict hook, called once when a state is explored,
     /// before its successors are enumerated. Report the details of each
     /// violation through `sink`, and return [`Verdict::Violation`] iff
-    /// any was reported: the explorers then re-check the violation budget
+    /// any was reported: the explorer then re-checks the violation budget
     /// immediately, so a spent budget (e.g.
     /// [`ExploreOptions::max_violations`]`(1)`) skips even this state's
     /// successor expansion.
@@ -153,8 +161,10 @@ pub struct ExploreOptions {
     /// *interrupts* the exploration — the partial result is returned,
     /// tagged with [`Exploration::interrupted`].
     pub budget: Budget,
-    /// Number of exploration shards (= worker threads when > 1); see
-    /// [`crate::ReachOptions::shards`] for normalization.
+    /// Number of slices each batch of frontier states is expanded in
+    /// (= threads when > 1 and the batch is large enough); see
+    /// [`crate::ReachOptions::shards`] for normalization. The result does
+    /// not depend on it.
     pub shards: usize,
     /// Stop exploring new states once this many violations were collected
     /// (`usize::MAX` = exhaustive). `1` is the early-exit-on-first-
@@ -170,7 +180,7 @@ pub struct ExploreOptions {
 }
 
 impl ExploreOptions {
-    /// Exhaustive exploration with the given state cap, sequential, no
+    /// Exhaustive exploration with the given state cap, one shard, no
     /// edge recording, no witnesses.
     pub fn with_cap(cap: usize) -> Self {
         ExploreOptions {
@@ -234,68 +244,30 @@ impl From<&crate::ReachOptions> for ExploreOptions {
     }
 }
 
-/// Packed-state storage of an [`Exploration`]: the sequential explorer
-/// keeps its interner (hash table + arena), the sharded explorer a flat
-/// merged arena.
-#[derive(Debug)]
-pub(crate) enum Store {
-    /// The sequential explorer's interner, table intact.
-    Map(MarkingInterner),
-    /// Flat arena of `len` states, `nw` words each (sharded merge).
-    Flat {
-        /// Words per state.
-        nw: usize,
-        /// State `s` is `words[s*nw .. (s+1)*nw]`.
-        words: Vec<u64>,
-        /// Number of states.
-        len: usize,
-    },
-}
-
-impl Store {
-    fn len(&self) -> usize {
-        match self {
-            Store::Map(i) => i.len(),
-            Store::Flat { len, .. } => *len,
-        }
-    }
-
-    fn key(&self, s: usize) -> &[u64] {
-        match self {
-            Store::Map(i) => i.key(s),
-            Store::Flat { nw, words, .. } => &words[s * nw..(s + 1) * nw],
-        }
-    }
-}
-
 /// Sentinel parent of the initial state.
-pub(crate) const NO_PARENT: u32 = u32::MAX;
+const NO_PARENT: u32 = u32::MAX;
 
 /// Result of a generic exploration — everything any client needs:
 /// the interned states, the optional adjacency, the violations (tagged
 /// with the state they were observed at) and the parent links for
 /// witness reconstruction.
 ///
-/// State ids are dense `u32`s; id `0` is **not** guaranteed to be the
-/// initial state under the sharded explorer — use [`Self::root`].
+/// State ids are dense `u32`s in breadth-first discovery order: id `0` is
+/// the initial state, and the result is the same at every shard count.
 #[derive(Debug)]
 pub struct Exploration<V> {
-    pub(crate) store: Store,
-    /// Id of the initial state.
-    pub(crate) root: u32,
+    store: MarkingInterner,
     /// Successor edges `(label, dst)` when
     /// [`ExploreOptions::record_edges`]; state `s` owns
     /// `succ_edges[succ_ranges[s].0 .. succ_ranges[s].1]`.
-    pub(crate) succ_edges: Vec<(u32, u32)>,
+    succ_edges: Vec<(u32, u32)>,
     /// Per-state `(start, end)` ranges into [`Self::succ_edges`].
-    pub(crate) succ_ranges: Vec<(u32, u32)>,
+    succ_ranges: Vec<(u32, u32)>,
     /// Per-state discovering edge `(parent, label)` when
     /// [`ExploreOptions::witness`]; the root's parent is [`NO_PARENT`].
-    pub(crate) parents: Vec<(u32, u32)>,
+    parents: Vec<(u32, u32)>,
     /// Violations in discovery order, tagged with the id of the state
-    /// they were observed at. Exhaustive explorations report a
-    /// deterministic *set* at any shard count; the order is deterministic
-    /// only sequentially.
+    /// they were observed at.
     pub violations: Vec<(u32, V)>,
     /// `Some(reason)` when the exploration stopped because a
     /// [`Budget`] dimension ran out (cap, deadline, cancellation,
@@ -333,30 +305,23 @@ impl<V> Exploration<V> {
         self.interrupted == Some(InterruptReason::CapExceeded)
     }
 
-    /// Id of the initial state.
-    pub fn root(&self) -> u32 {
-        self.root
-    }
-
     /// Number of states interned (on a capped run this can exceed
     /// [`Self::states`] by the one state that burst the cap).
     pub fn interned(&self) -> usize {
         self.store.len()
     }
 
-    /// Decomposes a sequential exploration into its interner and recorded
+    /// Decomposes an exploration into its interner and recorded
     /// adjacency — the packing path of
     /// [`crate::ReachabilityGraph::build`].
     #[allow(clippy::type_complexity)]
     pub(crate) fn into_interned_parts(self) -> (MarkingInterner, Vec<(u32, u32)>, Vec<(u32, u32)>) {
-        match self.store {
-            Store::Map(i) => (i, self.succ_edges, self.succ_ranges),
-            Store::Flat { .. } => unreachable!("sequential explorations keep their interner"),
-        }
+        (self.store, self.succ_edges, self.succ_ranges)
     }
 
     /// The firing sequence (label path) from the initial state to `s`,
-    /// reconstructed from the recorded discovering edges.
+    /// reconstructed from the recorded discovering edges. States are
+    /// discovered breadth-first, so this is a shortest such sequence.
     ///
     /// # Panics
     ///
@@ -368,7 +333,7 @@ impl<V> Exploration<V> {
         );
         let mut labels = Vec::new();
         let mut cur = s;
-        while cur != self.root {
+        while cur != 0 {
             let (p, l) = self.parents[cur as usize];
             debug_assert_ne!(p, NO_PARENT, "unreachable state in witness chain");
             labels.push(l);
@@ -387,11 +352,11 @@ pub enum ExploreError<V> {
     /// (one that invalidates the whole exploration, like a safeness
     /// violation of the underlying net).
     Fatal(V),
-    /// A worker thread of the sharded explorer panicked. The panic was
-    /// caught at the worker boundary — the remaining workers wound down
-    /// and the process is intact; only this exploration is lost.
+    /// The expansion of one slice of a batch panicked. The panic was
+    /// caught at the slice boundary and the process is intact; only this
+    /// exploration is lost.
     WorkerPanicked {
-        /// Index of the shard whose worker panicked.
+        /// Index of the slice whose expansion panicked.
         shard: usize,
         /// The panic message.
         message: String,
@@ -409,139 +374,276 @@ impl<V: std::fmt::Display> std::fmt::Display for ExploreError<V> {
     }
 }
 
-/// Explores `space` with the engine selected by `opts`: sequential for
-/// `shards <= 1`, the sharded multi-threaded explorer of [`crate::shard`]
-/// otherwise.
+/// The generic explorer: breadth-first over an interned flat-arena
+/// visited set, for any [`StateSpace`] and any shard count.
+///
+/// States take ids in discovery order, are expanded in id order, and
+/// each state's successors are taken in ascending label order. Each step
+/// cuts the next batch of unexpanded states into `opts.shards`
+/// contiguous slices and expands them (`inspect` + `for_each_successor`)
+/// into private buffers — on their own threads, or inline when the batch
+/// is small. The calling thread then merges the slices in id order under
+/// the one-worker rules (interning, state cap, edges, witnesses,
+/// violation budget, fatal errors), so the result is identical at every
+/// shard count.
 ///
 /// # Errors
 ///
-/// [`ExploreError::Fatal`] with the first fatal violation returned by
-/// [`StateSpace::for_each_successor`], or
-/// [`ExploreError::WorkerPanicked`] when a sharded worker panicked.
-pub fn explore_with<S: StateSpace>(
-    space: &S,
-    opts: ExploreOptions,
-) -> Result<Exploration<S::Violation>, ExploreError<S::Violation>> {
-    if opts.shards <= 1 {
-        explore(space, opts)
-    } else {
-        crate::shard::explore_sharded(space, opts)
-    }
-}
-
-/// The generic **sequential** explorer: LIFO frontier over an interned
-/// flat-arena visited set — the exact discipline (and state numbering) of
-/// the word-parallel reachability engine, for any [`StateSpace`].
-///
-/// # Errors
-///
-/// [`ExploreError::Fatal`] with the first fatal violation returned by
-/// [`StateSpace::for_each_successor`]. Budget exhaustion (cap, deadline,
-/// cancellation, bytes) is **not** an error: the partial exploration is
-/// returned, tagged [`Exploration::interrupted`].
+/// [`ExploreError::Fatal`] with the first fatal violation (in expansion
+/// order) returned by [`StateSpace::for_each_successor`];
+/// [`ExploreError::WorkerPanicked`] when a slice's expansion panicked.
+/// Budget exhaustion (cap, deadline, cancellation, bytes) is **not** an
+/// error: the partial exploration is returned, tagged
+/// [`Exploration::interrupted`].
 pub fn explore<S: StateSpace>(
     space: &S,
     opts: ExploreOptions,
 ) -> Result<Exploration<S::Violation>, ExploreError<S::Violation>> {
-    let _span = si_obs::span("explore.sequential");
+    let _span = si_obs::span("explore");
     let t0 = Instant::now();
     let nw = space.words();
-    let mut interner = MarkingInterner::new(nw);
     let init = space.initial();
     debug_assert_eq!(init.len(), nw);
-    let (s0, _) = interner.intern(&init);
-    debug_assert_eq!(s0, StateId(0));
-
-    let mut sink = SequentialSink {
-        interner,
-        frontier: vec![0u32],
+    let mut merge = Merge {
+        interner: MarkingInterner::new(nw),
+        nw,
         succ_edges: Vec::new(),
-        succ_ranges: if opts.record_edges {
-            vec![(0, 0)]
-        } else {
-            Vec::new()
-        },
-        parents: if opts.witness {
-            vec![(NO_PARENT, 0)]
-        } else {
-            Vec::new()
-        },
+        succ_ranges: Vec::new(),
+        parents: Vec::new(),
         violations: Vec::new(),
         states: 1,
         interrupted: None,
-        src: 0,
-        record_edges: opts.record_edges,
-        witness: opts.witness,
-        cap: opts.budget.cap,
+        opts: &opts,
     };
-    let mut cur = vec![0u64; nw];
-    let mut scratch = vec![0u64; nw];
+    merge.interner.intern(&init);
+    if opts.record_edges {
+        merge.succ_ranges.push((0, 0));
+    }
+    if opts.witness {
+        merge.parents.push((NO_PARENT, 0));
+    }
     // Soft limits (deadline/cancel/bytes) are consulted once per
-    // GOVERN_STRIDE explored states, never per state — an unbounded
-    // budget costs one branch per stride. Progress heartbeats piggyback
-    // on the same checkpoint, so arming them adds no per-state branch.
+    // GOVERN_STRIDE merged states, never per state — an unbounded budget
+    // costs one branch per stride. Progress heartbeats piggyback on the
+    // same checkpoint, so arming them adds no per-state branch.
     let governed = opts.budget.has_soft_limits();
     let ticking = si_obs::progress_armed();
-    let checkpointed = governed || ticking;
-    let mut explored = 0usize;
-
-    while let Some(s) = sink.frontier.pop() {
-        if sink.violations.len() >= opts.max_violations || sink.interrupted.is_some() {
-            break;
-        }
-        if checkpointed && explored.is_multiple_of(GOVERN_STRIDE) {
-            if governed {
-                if let Some(reason) = opts.budget.check_soft(sink.approx_bytes()) {
-                    sink.interrupted = Some(reason);
-                    break;
+    let mut slices: Vec<Slice<S::Violation>> = Vec::new();
+    // Next state to expand: ids below it are expanded, ids from it up to
+    // the interner's length are the breadth-first frontier.
+    let mut next = 0usize;
+    let shards = opts.shards.max(1);
+    'explore: while next < merge.interner.len() && !merge.done() {
+        let end = merge.interner.len().min(next + BATCH_PER_SHARD * shards);
+        let budget_left = opts.max_violations - merge.violations.len();
+        expand_batch(
+            space,
+            &merge.interner,
+            next..end,
+            budget_left,
+            shards,
+            &mut slices,
+        )?;
+        for slice in &mut slices {
+            let mut pending = Pending {
+                total: slice.violations.len(),
+                iter: std::mem::take(&mut slice.violations).into_iter(),
+            };
+            let mut succ_start = 0;
+            for rec in &slice.states {
+                if merge.done() {
+                    break 'explore;
                 }
+                if (governed || ticking) && next.is_multiple_of(GOVERN_STRIDE) {
+                    if governed {
+                        if let Some(reason) = opts.budget.check_soft(merge.approx_bytes()) {
+                            merge.interrupted = Some(reason);
+                            break 'explore;
+                        }
+                    }
+                    if ticking {
+                        si_obs::progress_tick(next, merge.interner.len() - next);
+                    }
+                }
+                if !merge.replay(next as u32, slice, succ_start, rec, &mut pending) {
+                    break 'explore;
+                }
+                next += 1;
+                succ_start = rec.succ_end;
             }
-            if ticking {
-                si_obs::progress_tick(explored, sink.frontier.len() + 1);
+            if let Some(v) = slice.fatal.take() {
+                return Err(ExploreError::Fatal(v));
             }
-        }
-        explored += 1;
-        cur.copy_from_slice(sink.interner.key(s as usize));
-        sink.src = s;
-        // A violating verdict counts against the budget immediately: a
-        // spent budget skips even this state's successor expansion.
-        if space.inspect(&cur, &mut sink) == Verdict::Violation
-            && sink.violations.len() >= opts.max_violations
-        {
-            break;
-        }
-        let start = sink.succ_edges.len() as u32;
-        space
-            .for_each_successor(&cur, &mut scratch, &mut sink)
-            .map_err(ExploreError::Fatal)?;
-        if opts.record_edges {
-            sink.succ_ranges[s as usize] = (start, sink.succ_edges.len() as u32);
         }
     }
 
-    let states = sink.states.min(opts.budget.cap);
+    let states = merge.states.min(opts.budget.cap);
     if si_obs::enabled() {
         si_obs::counter_add("explore.states", states as u64);
-        si_obs::counter_add("explore.edges", sink.succ_edges.len() as u64);
+        si_obs::counter_add("explore.edges", merge.succ_edges.len() as u64);
     }
     Ok(Exploration {
-        store: Store::Map(sink.interner),
-        root: 0,
-        succ_edges: sink.succ_edges,
-        succ_ranges: sink.succ_ranges,
-        parents: sink.parents,
-        violations: sink.violations,
-        interrupted: sink.interrupted,
+        store: merge.interner,
+        succ_edges: merge.succ_edges,
+        succ_ranges: merge.succ_ranges,
+        parents: merge.parents,
+        violations: merge.violations,
+        interrupted: merge.interrupted,
         states,
         elapsed: t0.elapsed(),
     })
 }
 
-/// The sequential explorer's visitor: interns successors, records
-/// edges/parents, collects violations, enforces the cap.
-struct SequentialSink<V> {
+/// Expands the states `ids` (interned, not yet expanded) into `slices`:
+/// up to `shards` contiguous, non-empty slices, each under
+/// [`run_isolated`] — on its own thread when the batch is large enough to
+/// pay for one, inline otherwise.
+///
+/// # Errors
+///
+/// [`ExploreError::WorkerPanicked`] naming the lowest slice that
+/// panicked.
+fn expand_batch<S: StateSpace>(
+    space: &S,
+    interner: &MarkingInterner,
+    ids: std::ops::Range<usize>,
+    budget_left: usize,
+    shards: usize,
+    slices: &mut Vec<Slice<S::Violation>>,
+) -> Result<(), ExploreError<S::Violation>> {
+    let k = shards.clamp(1, ids.len());
+    slices.resize_with(k, Slice::default);
+    let bound = |i: usize| ids.start + i * ids.len() / k;
+    let run = |i: usize, slice: &mut Slice<S::Violation>| {
+        run_isolated(|| {
+            // Injection site: a slice that dies or stalls before it
+            // expands anything (value = slice index).
+            fail_point!("shard::worker", i);
+            slice.expand(space, interner, bound(i)..bound(i + 1), budget_left);
+        })
+        .map_err(|message| ExploreError::WorkerPanicked { shard: i, message })
+    };
+    if k == 1 || ids.len() < INLINE_BELOW {
+        return slices
+            .iter_mut()
+            .enumerate()
+            .try_for_each(|(i, s)| run(i, s));
+    }
+    let outcomes: Vec<_> = std::thread::scope(|scope| {
+        let (first, rest) = slices.split_first_mut().expect("k >= 1");
+        let handles: Vec<_> = rest
+            .iter_mut()
+            .enumerate()
+            .map(|(i, slice)| scope.spawn(move || run(i + 1, slice)))
+            .collect();
+        std::iter::once(run(0, first))
+            .chain(handles.into_iter().map(|h| h.join().expect("isolated")))
+            .collect()
+    });
+    outcomes.into_iter().collect()
+}
+
+/// One expanded state of a [`Slice`]: where its successors and
+/// violations end in the slice's buffers.
+#[derive(Copy, Clone, Debug)]
+struct Expanded {
+    /// Whether `inspect` returned [`Verdict::Violation`].
+    violating: bool,
+    /// End of its `inspect` violations in [`Slice::violations`].
+    inspect_end: u32,
+    /// End of all its violations in [`Slice::violations`].
+    violations_end: u32,
+    /// End of its successors in [`Slice::labels`].
+    succ_end: u32,
+}
+
+/// One slice's expansion of a run of consecutive states, buffered for the
+/// merge. The buffers are reused from batch to batch.
+#[derive(Debug)]
+struct Slice<V> {
+    /// Successor states, `nw` words each, in enumeration order.
+    words: Vec<u64>,
+    /// Successor labels, parallel to [`Self::words`].
+    labels: Vec<u32>,
+    /// Violations, each tagged with the number of successors the slice
+    /// had enumerated when it was reported, so the merge replays it at
+    /// the same point relative to a cap burst.
+    violations: Vec<(u32, V)>,
+    /// The expanded states, in id order.
+    states: Vec<Expanded>,
+    /// The fatal violation that stopped the slice at its last state.
+    fatal: Option<V>,
+}
+
+impl<V> Default for Slice<V> {
+    fn default() -> Self {
+        Slice {
+            words: Vec::new(),
+            labels: Vec::new(),
+            violations: Vec::new(),
+            states: Vec::new(),
+            fatal: None,
+        }
+    }
+}
+
+impl<V> Slice<V> {
+    /// Expands the states `ids` of `interner`, stopping after a fatal
+    /// violation or once this slice alone reported `budget_left`
+    /// violations (the merge cannot get past that state).
+    fn expand<S: StateSpace<Violation = V>>(
+        &mut self,
+        space: &S,
+        interner: &MarkingInterner,
+        ids: std::ops::Range<usize>,
+        budget_left: usize,
+    ) {
+        self.words.clear();
+        self.labels.clear();
+        self.violations.clear();
+        self.states.clear();
+        self.fatal = None;
+        let mut scratch = vec![0u64; space.words()];
+        for s in ids {
+            let key = interner.key(s);
+            let violating = space.inspect(key, self) == Verdict::Violation;
+            let inspect_end = self.violations.len() as u32;
+            // A violating verdict that spends the budget skips even this
+            // state's successor expansion.
+            if !(violating && self.violations.len() >= budget_left) {
+                self.fatal = space.for_each_successor(key, &mut scratch, self).err();
+            }
+            self.states.push(Expanded {
+                violating,
+                inspect_end,
+                violations_end: self.violations.len() as u32,
+                succ_end: self.labels.len() as u32,
+            });
+            if self.fatal.is_some() || self.violations.len() >= budget_left {
+                return;
+            }
+        }
+    }
+}
+
+impl<V> SpaceVisitor<V> for Slice<V> {
+    fn successor(&mut self, label: u32, next: &[u64]) -> bool {
+        self.words.extend_from_slice(next);
+        self.labels.push(label);
+        true
+    }
+
+    fn violation(&mut self, v: V) {
+        self.violations.push((self.labels.len() as u32, v));
+    }
+}
+
+/// The merge side of [`explore`]: the interner and every record of the
+/// result, updated by replaying expanded slices in id order.
+struct Merge<'o, V> {
     interner: MarkingInterner,
-    frontier: Vec<u32>,
+    /// Words per state.
+    nw: usize,
     succ_edges: Vec<(u32, u32)>,
     succ_ranges: Vec<(u32, u32)>,
     parents: Vec<(u32, u32)>,
@@ -549,51 +651,101 @@ struct SequentialSink<V> {
     /// States accepted (the over-cap key is interned but not accepted).
     states: usize,
     interrupted: Option<InterruptReason>,
-    /// State currently being expanded.
-    src: u32,
-    record_edges: bool,
-    witness: bool,
-    cap: usize,
+    opts: &'o ExploreOptions,
 }
 
-impl<V> SequentialSink<V> {
+impl<V> Merge<'_, V> {
+    /// Whether the exploration is over: interrupted, or the violation
+    /// budget is spent.
+    fn done(&self) -> bool {
+        self.interrupted.is_some() || self.violations.len() >= self.opts.max_violations
+    }
+
     /// Approximate live bytes: state arena + interner table + recorded
     /// adjacency (the dominant allocations of an exploration).
     fn approx_bytes(&self) -> usize {
         self.interner.approx_bytes()
             + self.succ_edges.len() * 8
-            + (self.succ_ranges.len() + self.parents.len() + self.frontier.len()) * 8
+            + (self.succ_ranges.len() + self.parents.len()) * 8
     }
-}
 
-impl<V> SpaceVisitor<V> for SequentialSink<V> {
-    fn successor(&mut self, label: u32, next: &[u64]) -> bool {
-        if self.interrupted.is_some() {
+    /// Replays the expansion `rec` of state `s` from `slice`, whose
+    /// successors start at `succ_start`: its `inspect` violations, then
+    /// its successors with the per-edge violations interleaved where they
+    /// were reported. `pending` holds the slice's unmerged violations.
+    /// Returns `false` when the exploration must stop here (cap burst,
+    /// violation budget spent).
+    fn replay(
+        &mut self,
+        s: u32,
+        slice: &Slice<V>,
+        succ_start: u32,
+        rec: &Expanded,
+        pending: &mut Pending<V>,
+    ) -> bool {
+        pending.take_into(&mut self.violations, s, rec.inspect_end, u32::MAX);
+        if rec.violating && self.violations.len() >= self.opts.max_violations {
             return false;
         }
-        let (id, is_new) = self.interner.intern(next);
-        if is_new {
-            if self.states >= self.cap {
-                self.interrupted = Some(InterruptReason::CapExceeded);
+        let start = self.succ_edges.len() as u32;
+        for j in succ_start..rec.succ_end {
+            pending.take_into(&mut self.violations, s, rec.violations_end, j);
+            let at = j as usize * self.nw;
+            if !self.accept(s, slice.labels[j as usize], &slice.words[at..at + self.nw]) {
                 return false;
             }
-            self.states += 1;
-            if self.record_edges {
-                self.succ_ranges.push((0, 0));
-            }
-            if self.witness {
-                self.parents.push((self.src, label));
-            }
-            self.frontier.push(id.0);
         }
-        if self.record_edges {
-            self.succ_edges.push((label, id.0));
+        pending.take_into(&mut self.violations, s, rec.violations_end, u32::MAX);
+        if self.opts.record_edges {
+            self.succ_ranges[s as usize] = (start, self.succ_edges.len() as u32);
         }
         true
     }
 
-    fn violation(&mut self, v: V) {
-        self.violations.push((self.src, v));
+    /// Interns the successor `key` of `src` by `label`, recording the
+    /// edge and (for a new state) its discovering edge. Returns `false`
+    /// when a new state bursts the cap.
+    fn accept(&mut self, src: u32, label: u32, key: &[u64]) -> bool {
+        let (id, is_new) = self.interner.intern(key);
+        if is_new {
+            // Injection site: simulate the cap bursting at state k
+            // (value = states accepted so far).
+            if fail_trigger!("shard::accept", self.states) || self.states >= self.opts.budget.cap {
+                self.interrupted = Some(InterruptReason::CapExceeded);
+                return false;
+            }
+            self.states += 1;
+            if self.opts.record_edges {
+                self.succ_ranges.push((0, 0));
+            }
+            if self.opts.witness {
+                self.parents.push((src, label));
+            }
+        }
+        if self.opts.record_edges {
+            self.succ_edges.push((label, id.0));
+        }
+        true
+    }
+}
+
+/// A slice's violations not merged yet, in report order.
+struct Pending<V> {
+    iter: std::vec::IntoIter<(u32, V)>,
+    /// Number of violations the slice reported.
+    total: usize,
+}
+
+impl<V> Pending<V> {
+    /// Moves the violations up to slice index `end` that were reported
+    /// before successor `pos` into `out`, tagged with state `s`.
+    fn take_into(&mut self, out: &mut Vec<(u32, V)>, s: u32, end: u32, pos: u32) {
+        while self.total - self.iter.len() < end as usize
+            && self.iter.as_slice().first().is_some_and(|&(p, _)| p <= pos)
+        {
+            let (_, v) = self.iter.next().expect("checked non-empty");
+            out.push((s, v));
+        }
     }
 }
 
@@ -602,9 +754,8 @@ impl<V> SpaceVisitor<V> for SequentialSink<V> {
 /// rule `(m \ •t) ∪ t•` via a [`FiringView`]. A safeness violation is
 /// fatal ([`ReachError::NotSafe`]).
 ///
-/// This is the space behind [`crate::ReachabilityGraph::build`] /
-/// [`crate::ReachabilityGraph::build_sharded`]; it reports no
-/// [`inspect`](StateSpace::inspect) violations.
+/// This is the space behind [`crate::ReachabilityGraph::build_with`]; it
+/// reports no [`inspect`](StateSpace::inspect) violations.
 #[derive(Debug)]
 pub struct MarkingSpace {
     view: FiringView,
@@ -723,6 +874,7 @@ impl StateSpace for ScalarMarkingSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reach::ReachabilityGraph;
 
     /// p0 -> t0 -> p1 -> t1 -> p0 with a side choice p1 -> t2 -> p0.
     fn ring_with_choice() -> PetriNet {
@@ -764,7 +916,7 @@ mod tests {
         assert_eq!(e.states, 2);
         assert!(!e.cap_exceeded());
         assert_eq!(e.interrupt(), None);
-        assert_eq!(e.root(), 0);
+        assert_eq!(e.key(0), net.initial_marking().as_words());
         // State 1 (p1) discovered from state 0 by t0.
         assert_eq!(e.witness(1), vec![0]);
         assert_eq!(e.witness(0), Vec::<u32>::new());
@@ -840,13 +992,319 @@ mod tests {
 
     #[test]
     fn sharded_dispatch_matches_sequential_verdicts() {
-        let seq = explore_with(&OddFlagger, ExploreOptions::with_cap(1000)).unwrap();
-        let par = explore_with(&OddFlagger, ExploreOptions::with_cap(1000).shards(4)).unwrap();
+        let seq = explore(&OddFlagger, ExploreOptions::with_cap(1000)).unwrap();
+        let par = explore(&OddFlagger, ExploreOptions::with_cap(1000).shards(4)).unwrap();
         assert_eq!(seq.states, par.states);
-        let mut a: Vec<u64> = seq.violations.iter().map(|&(_, v)| v).collect();
-        let mut b: Vec<u64> = par.violations.iter().map(|&(_, v)| v).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
+        assert_eq!(seq.violations, par.violations);
+    }
+
+    /// A wide space over `0..n` (frontier batches big enough for threads):
+    /// three successors per state, an `inspect` violation at multiples of
+    /// 13, a per-edge violation after every successor divisible by 11 and
+    /// a fatal error at the nonzero multiples of `fatal_every`.
+    struct Lattice {
+        n: u64,
+        fatal_every: Option<u64>,
+    }
+
+    impl StateSpace for Lattice {
+        type Violation = u64;
+
+        fn words(&self) -> usize {
+            1
+        }
+
+        fn initial(&self) -> Vec<u64> {
+            vec![0]
+        }
+
+        fn inspect<Vis: SpaceVisitor<u64>>(&self, state: &[u64], sink: &mut Vis) -> Verdict {
+            if state[0].is_multiple_of(13) {
+                sink.violation(state[0]);
+                Verdict::Violation
+            } else {
+                Verdict::Continue
+            }
+        }
+
+        fn for_each_successor<Vis: SpaceVisitor<u64>>(
+            &self,
+            state: &[u64],
+            scratch: &mut [u64],
+            visit: &mut Vis,
+        ) -> Result<(), u64> {
+            let x = state[0];
+            for (label, next) in [(x * 3 + 1) % self.n, (x * 7 + 2) % self.n, (x + 1) % self.n]
+                .into_iter()
+                .enumerate()
+            {
+                if label == 1 && x > 0 && self.fatal_every.is_some_and(|f| x.is_multiple_of(f)) {
+                    return Err(x);
+                }
+                scratch[0] = next;
+                if !visit.successor(label as u32, scratch) {
+                    return Ok(());
+                }
+                if next.is_multiple_of(11) {
+                    visit.violation(1_000_000 + next);
+                }
+            }
+            Ok(())
+        }
+    }
+
+    /// The one-worker rules written out directly, as the oracle of the
+    /// batched explorer: states in a FIFO by id, each inspected, then
+    /// expanded with every successor interned the moment it is reported.
+    #[derive(Default)]
+    struct Reference {
+        ids: std::collections::HashMap<u64, u32>,
+        keys: Vec<u64>,
+        edges: Vec<(u32, u32)>,
+        parents: Vec<(u32, u32)>,
+        violations: Vec<(u32, u64)>,
+        src: u32,
+        cap: usize,
+        capped: bool,
+    }
+
+    impl SpaceVisitor<u64> for Reference {
+        fn successor(&mut self, label: u32, next: &[u64]) -> bool {
+            let id = match self.ids.get(&next[0]) {
+                Some(&id) => id,
+                None if self.keys.len() >= self.cap => {
+                    self.capped = true;
+                    return false;
+                }
+                None => {
+                    let id = self.keys.len() as u32;
+                    self.ids.insert(next[0], id);
+                    self.keys.push(next[0]);
+                    self.parents.push((self.src, label));
+                    id
+                }
+            };
+            self.edges.push((label, id));
+            true
+        }
+
+        fn violation(&mut self, v: u64) {
+            self.violations.push((self.src, v));
+        }
+    }
+
+    fn reference(space: &Lattice, cap: usize, max_violations: usize) -> Result<Reference, u64> {
+        let mut r = Reference {
+            keys: vec![0],
+            parents: vec![(NO_PARENT, 0)],
+            cap,
+            ..Reference::default()
+        };
+        r.ids.insert(0, 0);
+        let mut scratch = [0u64];
+        let mut s = 0;
+        while s < r.keys.len() && !r.capped && r.violations.len() < max_violations {
+            r.src = s as u32;
+            let key = [r.keys[s]];
+            if space.inspect(&key, &mut r) == Verdict::Violation
+                && r.violations.len() >= max_violations
+            {
+                break;
+            }
+            space.for_each_successor(&key, &mut scratch, &mut r)?;
+            s += 1;
+        }
+        Ok(r)
+    }
+
+    #[test]
+    fn explorations_are_identical_at_every_shard_count() {
+        let space = Lattice {
+            n: 20_000,
+            fatal_every: None,
+        };
+        for (cap, max_violations) in [
+            (usize::MAX, usize::MAX),
+            (usize::MAX, 1),
+            (usize::MAX, 700),
+            (5_000, usize::MAX),
+            (9_999, 40),
+        ] {
+            let want = reference(&space, cap, max_violations).unwrap();
+            for shards in [1, 2, 4, 8] {
+                let opts = ExploreOptions::with_cap(cap)
+                    .max_violations(max_violations)
+                    .record_edges()
+                    .witness()
+                    .shards(shards);
+                let e = explore(&space, opts).unwrap();
+                let what = format!("cap {cap}, budget {max_violations}, {shards} shards");
+                assert_eq!(e.states, want.keys.len(), "{what}: states");
+                assert_eq!(e.cap_exceeded(), want.capped, "{what}: interrupted");
+                assert_eq!(e.violations, want.violations, "{what}: violations");
+                assert_eq!(e.succ_edges, want.edges, "{what}: edges");
+                assert_eq!(e.parents, want.parents, "{what}: parents");
+                for (s, &key) in want.keys.iter().enumerate() {
+                    assert_eq!(e.key(s as u32), [key], "{what}: key of {s}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_first_fatal_in_expansion_order_wins_at_every_shard_count() {
+        // Several fatal states: the one expanded first is reported, even
+        // when a later slice reaches another one first in wall-clock time.
+        let space = Lattice {
+            n: 20_000,
+            fatal_every: Some(1_000),
+        };
+        let first = reference(&space, usize::MAX, usize::MAX)
+            .err()
+            .expect("a fatal state is reachable");
+        for shards in [1, 2, 4, 8] {
+            let r = explore(&space, ExploreOptions::with_cap(usize::MAX).shards(shards));
+            assert_eq!(
+                r.unwrap_err(),
+                ExploreError::Fatal(first),
+                "{shards} shards"
+            );
+        }
+    }
+
+    /// An `n`-stage pipeline of fork-joins — enough states to exercise
+    /// table growth.
+    fn pipeline(n: usize) -> PetriNet {
+        let mut b = PetriNet::builder();
+        let mut prev = b.add_place("p0", true);
+        for i in 0..n {
+            let fork = b.add_transition(format!("fork{i}"));
+            let a = b.add_place(format!("a{i}"), false);
+            let c = b.add_place(format!("b{i}"), false);
+            let a2 = b.add_place(format!("a{i}x"), false);
+            let c2 = b.add_place(format!("b{i}x"), false);
+            let join = b.add_transition(format!("join{i}"));
+            let next = b.add_place(format!("p{}", i + 1), false);
+            b.arc_pt(prev, fork);
+            b.arc_tp(fork, a);
+            b.arc_tp(fork, c);
+            let ta = b.add_transition(format!("ta{i}"));
+            let tb = b.add_transition(format!("tb{i}"));
+            b.arc_pt(a, ta);
+            b.arc_tp(ta, a2);
+            b.arc_pt(c, tb);
+            b.arc_tp(tb, c2);
+            b.arc_pt(a2, join);
+            b.arc_pt(c2, join);
+            b.arc_tp(join, next);
+            prev = next;
+        }
+        // Close the loop so the net is live.
+        let back = b.add_transition("back");
+        let first = crate::net::PlaceId(0);
+        b.arc_pt(prev, back);
+        b.arc_tp(back, first);
+        b.build()
+    }
+
+    fn build(net: &PetriNet, cap: usize, shards: usize) -> Result<ReachabilityGraph, ReachError> {
+        ReachabilityGraph::build_with(net, crate::ReachOptions::with_cap(cap).shards(shards))
+    }
+
+    fn assert_identical(a: &ReachabilityGraph, b: &ReachabilityGraph) {
+        assert_eq!(a.state_count(), b.state_count());
+        assert_eq!(a.edge_count(), b.edge_count());
+        for s in a.states() {
+            assert_eq!(a.marking(s), b.marking(s), "marking of {s:?}");
+            assert_eq!(a.successors(s), b.successors(s), "succs of {s:?}");
+            assert_eq!(a.predecessors(s), b.predecessors(s), "preds of {s:?}");
+        }
+    }
+
+    #[test]
+    fn sharded_matches_sequential_bit_for_bit() {
+        for n in [1, 3, 6] {
+            let net = pipeline(n);
+            let seq = ReachabilityGraph::build(&net, 1_000_000).unwrap();
+            for shards in [2, 4, 8] {
+                let par = build(&net, 1_000_000, shards).unwrap();
+                assert_identical(&seq, &par);
+                for t in net.transitions() {
+                    assert_eq!(seq.states_enabling(t), par.states_enabling(t));
+                }
+                assert_eq!(seq.is_live(&net), par.is_live(&net));
+            }
+        }
+    }
+
+    #[test]
+    fn sharded_respects_cap() {
+        let net = pipeline(4);
+        let full = ReachabilityGraph::build(&net, 1_000_000).unwrap();
+        let cap = full.state_count() - 1;
+        let err = build(&net, cap, 4).unwrap_err();
+        assert_eq!(err, ReachError::StateCapExceeded { cap });
+    }
+
+    #[test]
+    fn sharded_detects_unsafe_nets() {
+        // Two producers race tokens onto p1.
+        let mut b = PetriNet::builder();
+        let p0 = b.add_place("p0", true);
+        let p1 = b.add_place("p1", false);
+        let p2 = b.add_place("p2", true);
+        let t0 = b.add_transition("t0");
+        let t1 = b.add_transition("t1");
+        b.arc_pt(p0, t0);
+        b.arc_tp(t0, p1);
+        b.arc_pt(p2, t1);
+        b.arc_tp(t1, p1);
+        b.arc_tp(t1, p0);
+        let net = b.build();
+        let r = build(&net, 100, 2);
+        assert!(matches!(r, Err(ReachError::NotSafe { .. })));
+    }
+
+    #[test]
+    fn one_shard_falls_back_to_sequential() {
+        let net = pipeline(2);
+        let a = build(&net, 1_000, 1).unwrap();
+        let b = ReachabilityGraph::build(&net, 1_000).unwrap();
+        assert_identical(&a, &b);
+    }
+
+    #[test]
+    fn wide_nets_cross_word_boundaries() {
+        // > 64 places forces multi-word markings through the slice buffers.
+        let n = 40; // 6 places per stage + 1 => ~241 places
+        let net = pipeline(n);
+        let seq = ReachabilityGraph::build(&net, 1_000_000).unwrap();
+        let par = build(&net, 1_000_000, 4).unwrap();
+        assert_identical(&seq, &par);
+    }
+
+    #[test]
+    fn sharded_witnesses_replay() {
+        let net = pipeline(3);
+        let space = MarkingSpace::new(&net);
+        let e = explore(
+            &space,
+            ExploreOptions::with_cap(1_000_000).shards(4).witness(),
+        )
+        .unwrap();
+        // Every discovered state's witness must replay, via the firing
+        // rule, from m0 to that state's packed words.
+        let view = net.firing_view();
+        let nw = view.words();
+        for s in (0..e.interned() as u32).step_by(7) {
+            let mut cur = net.initial_marking().as_words().to_vec();
+            let mut scratch = vec![0u64; nw];
+            for label in e.witness(s) {
+                assert!(view.is_enabled(&cur, label as usize));
+                view.fire_into(&cur, label as usize, &mut scratch);
+                std::mem::swap(&mut cur, &mut scratch);
+            }
+            assert_eq!(&cur[..], e.key(s), "witness of state {s} does not replay");
+        }
     }
 }

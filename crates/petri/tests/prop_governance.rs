@@ -5,7 +5,7 @@
 //! exploration is monotone in the cap.
 
 use proptest::prelude::*;
-use si_petri::space::{explore_with, ExploreOptions, MarkingSpace, SpaceVisitor, StateSpace};
+use si_petri::space::{explore, ExploreOptions, MarkingSpace, SpaceVisitor, StateSpace};
 use si_petri::{Budget, CancelToken, InterruptReason, PetriNet, ReachError, SymbolicReach};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -84,7 +84,7 @@ proptest! {
         let opts = ExploreOptions::with_cap(usize::MAX)
             .budget(Budget::unbounded().cancel(token.clone()))
             .shards(shards);
-        let expl = explore_with(&space, opts).expect("cancellation is not an error");
+        let expl = explore(&space, opts).expect("cancellation is not an error");
         prop_assert!(expl.violations.is_empty());
         match expl.interrupted {
             Some(reason) => {
@@ -114,7 +114,7 @@ proptest! {
         let (lo, hi) = (c1.min(c2), c1.max(c2));
         let run = |cap: usize| {
             let space = MarkingSpace::new(&net);
-            explore_with(&space, ExploreOptions::with_cap(cap)).unwrap()
+            explore(&space, ExploreOptions::with_cap(cap)).unwrap()
         };
         let el = run(lo);
         let eh = run(hi);

@@ -1,10 +1,16 @@
 //! Equivalence property tests for the word-parallel state substrate: the
 //! mask-based firing rule, the interned CSR reachability engine and the
 //! batched concurrency fixpoint must agree *exactly* with the naive
-//! reference implementations on random live, safe, free-choice nets.
+//! reference implementations on random live, safe, free-choice nets —
+//! and the explorer's result must not depend on its shard count.
 
 use proptest::prelude::*;
-use si_petri::{ConcurrencyRelation, PetriNet, ReachabilityGraph};
+use si_petri::space::{explore, ExploreOptions, MarkingSpace};
+use si_petri::{
+    ConcurrencyRelation, PetriNet, PetriNetBuilder, PlaceId, ReachError, ReachOptions,
+    ReachabilityGraph, StateId,
+};
+use std::collections::VecDeque;
 
 /// Expansion step applied to a random place of a ring (same grammar as the
 /// structural property tests: the result stays live/safe/free-choice).
@@ -31,6 +37,24 @@ fn arb_expansions() -> impl Strategy<Value = Vec<(usize, Expand)>> {
 
 /// Builds a net by starting from a 2-place ring and expanding places.
 fn build_net(expansions: &[(usize, Expand)]) -> PetriNet {
+    net_builder(expansions).0.build()
+}
+
+/// [`build_net`] plus a transition that copies the token of the last
+/// place onto the initially marked one — unsafe as soon as it fires
+/// while that place still holds its token.
+fn build_unsafe_net(expansions: &[(usize, Expand)]) -> PetriNet {
+    let (mut builder, places) = net_builder(expansions);
+    let last = *places.last().expect("at least two places");
+    let dup = builder.add_transition("dup");
+    builder.arc_pt(last, dup);
+    builder.arc_tp(dup, last);
+    builder.arc_tp(dup, places[0]);
+    builder.build()
+}
+
+/// The builder behind [`build_net`], with its places.
+fn net_builder(expansions: &[(usize, Expand)]) -> (PetriNetBuilder, Vec<PlaceId>) {
     // Symbolic transitions over abstract place ids, starting from the ring
     // p0 -> t -> p1 -> t' -> p0.
     let mut nplaces: usize = 2;
@@ -96,7 +120,27 @@ fn build_net(expansions: &[(usize, Expand)]) -> PetriNet {
             builder.arc_tp(t, places[p]);
         }
     }
-    builder.build()
+    (builder, places)
+}
+
+fn build_at(net: &PetriNet, cap: usize, shards: usize) -> Result<ReachabilityGraph, ReachError> {
+    ReachabilityGraph::build_with(net, ReachOptions::with_cap(cap).shards(shards))
+}
+
+/// Breadth-first distance of every state of `rg` from state 0.
+fn bfs_distances(rg: &ReachabilityGraph) -> Vec<usize> {
+    let mut dist = vec![usize::MAX; rg.state_count()];
+    dist[0] = 0;
+    let mut queue = VecDeque::from([StateId(0)]);
+    while let Some(s) = queue.pop_front() {
+        for &(_, d) in rg.successors(s) {
+            if dist[d.index()] == usize::MAX {
+                dist[d.index()] = dist[s.index()] + 1;
+                queue.push_back(d);
+            }
+        }
+    }
+    dist
 }
 
 proptest! {
@@ -180,9 +224,9 @@ proptest! {
     ) {
         let net = build_net(&exps);
         let seq = ReachabilityGraph::build(&net, 20_000).unwrap();
-        let par = ReachabilityGraph::build_sharded(&net, 20_000, shards).unwrap();
-        // The sharded engine renumbers canonically, so the comparison is
-        // bit-for-bit — not merely up to permutation.
+        let par = build_at(&net, 20_000, shards).unwrap();
+        // The shard count never changes the numbering, so the comparison
+        // is bit-for-bit — not merely up to permutation.
         prop_assert_eq!(par.state_count(), seq.state_count());
         prop_assert_eq!(par.edge_count(), seq.edge_count());
         for s in seq.states() {
@@ -205,9 +249,52 @@ proptest! {
         if full.state_count() > 1 {
             let cap = full.state_count() - 1;
             let seq = ReachabilityGraph::build(&net, cap);
-            let par = ReachabilityGraph::build_sharded(&net, cap, 4);
+            let par = build_at(&net, cap, 4);
             prop_assert!(par.is_err());
             prop_assert_eq!(seq.unwrap_err(), par.unwrap_err());
+        }
+    }
+
+    /// On a net that is both unsafe and larger than the cap, which error
+    /// comes first is fixed by breadth-first order: every shard count and
+    /// the naive oracle report the same one.
+    #[test]
+    fn unsafe_over_cap_errors_agree_at_every_shard_count(
+        exps in arb_expansions(),
+        cap in 1usize..40,
+    ) {
+        let net = build_unsafe_net(&exps);
+        let naive = ReachabilityGraph::build_naive(&net, cap).map(|rg| rg.state_count());
+        for shards in [1, 2, 4, 8] {
+            let r = build_at(&net, cap, shards).map(|rg| rg.state_count());
+            prop_assert_eq!(&r, &naive, "{} shards", shards);
+        }
+    }
+
+    /// Witnesses are shortest: each state's witness replays to it and is
+    /// exactly as long as its breadth-first distance in the naive graph.
+    #[test]
+    fn witnesses_are_shortest_firing_sequences(exps in arb_expansions()) {
+        let net = build_net(&exps);
+        let naive = ReachabilityGraph::build_naive(&net, 20_000).unwrap();
+        let dist = bfs_distances(&naive);
+        let e = explore(
+            &MarkingSpace::new(&net),
+            ExploreOptions::with_cap(20_000).witness(),
+        )
+        .unwrap();
+        prop_assert_eq!(e.interned(), naive.state_count());
+        for s in 0..e.interned() as u32 {
+            let witness = e.witness(s);
+            let mut m = net.initial_marking();
+            for &t in &witness {
+                let t = si_petri::TransId(t);
+                prop_assert!(net.is_enabled(&m, t), "dead witness step {}", t);
+                m = net.fire(&m, t);
+            }
+            let target = naive.state_of(&m).expect("the witness reaches a state");
+            prop_assert_eq!(m.as_words(), e.key(s));
+            prop_assert_eq!(witness.len(), dist[target.index()], "state {}", s);
         }
     }
 

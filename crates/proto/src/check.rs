@@ -1,18 +1,18 @@
-//! One-shot deadlock checking: explore the product space (sequentially or
-//! sharded), collect a canonical violation list, and extract a replayable
+//! One-shot deadlock checking: explore the product space breadth-first,
+//! collect a canonical violation list, and extract a replayable
 //! action-sequence witness for the first violation.
 //!
 //! [`check_deadlock`] / [`check_deadlock_with`] are the `Engine`-style
-//! free functions behind `sisyn deadlock`. The returned
-//! [`DeadlockReport`] is **shard-invariant**: violations are re-keyed by
-//! decoded state content (interner ids differ across shard counts) and
-//! sorted, so the report — verdict, counts, violation list and the
-//! witness target — is bit-identical at any shard count, which the
-//! property suite pins at 1/2/4/8 shards.
+//! free functions behind `sisyn deadlock`. Violations are re-keyed by
+//! decoded state content and sorted, and the explorer's result does not
+//! depend on the shard count, so the whole [`DeadlockReport`] — verdict,
+//! counts, violation list and witness — is bit-identical at any shard
+//! count, which the property suite pins at 1/2/4/8 shards. The witness
+//! is a shortest action sequence to the canonically-first violation.
 
 use crate::model::ProtoSystem;
 use crate::space::{GlobalState, ProtoSpace, ProtoViolation};
-use si_petri::space::{explore_with, ExploreError, ExploreOptions};
+use si_petri::space::{explore, ExploreError, ExploreOptions};
 use si_petri::{Interrupt, ReachOptions};
 use std::fmt;
 
@@ -23,10 +23,10 @@ pub const DEFAULT_CAP: usize = 4_000_000;
 /// which is a successful check with a non-empty report).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ProtoError {
-    /// A worker thread of the sharded explorer panicked; the panic was
-    /// isolated at the worker boundary and the pool is intact.
+    /// An expansion thread of the explorer panicked; the panic was
+    /// isolated at the slice boundary and the process is intact.
     WorkerPanicked {
-        /// Index of the shard whose worker panicked.
+        /// Index of the slice whose expansion panicked.
         shard: usize,
         /// The panic message.
         message: String,
@@ -124,22 +124,21 @@ pub fn check_deadlock(sys: &ProtoSystem) -> Result<DeadlockReport, ProtoError> {
 
 /// Checks `sys` under explicit resource options (budget, shard count).
 ///
-/// The exploration is exhaustive (no early exit on first violation) so
-/// the violation *set* is deterministic at any shard count; the report
-/// then canonicalizes order by decoded state content.
+/// The exploration is exhaustive (no early exit on first violation) and
+/// the report canonicalizes order by decoded state content.
 ///
 /// # Errors
 ///
-/// [`ProtoError::WorkerPanicked`] when a sharded worker panicked (the
-/// panic is isolated; the process and thread pool are intact). The
-/// product space has no fatal violations.
+/// [`ProtoError::WorkerPanicked`] when an expansion thread panicked (the
+/// panic is isolated; the process is intact). The product space has no
+/// fatal violations.
 pub fn check_deadlock_with(
     sys: &ProtoSystem,
     reach: ReachOptions,
 ) -> Result<DeadlockReport, ProtoError> {
     let space = ProtoSpace::new(sys);
     let opts = ExploreOptions::from(reach).witness();
-    let expl = explore_with(&space, opts).map_err(|e| match e {
+    let expl = explore(&space, opts).map_err(|e| match e {
         ExploreError::WorkerPanicked { shard, message } => {
             ProtoError::WorkerPanicked { shard, message }
         }
@@ -147,8 +146,8 @@ pub fn check_deadlock_with(
         ExploreError::Fatal(v) => unreachable!("proto space has no fatal violations: {v:?}"),
     })?;
 
-    // Re-key violations by decoded state content and sort: interner ids
-    // are shard-dependent, the states themselves are not.
+    // Re-key violations by decoded state content and sort, so the order
+    // reads by state rather than by discovery.
     let mut tagged: Vec<(ReportedViolation, u32)> = expl
         .violations
         .iter()
@@ -237,6 +236,7 @@ mod tests {
             reach.shards = shards;
             let sharded = check_deadlock_with(&sys, reach).unwrap();
             assert_eq!(sharded.violations, seq.violations, "shards={shards}");
+            assert_eq!(sharded.trace_labels, seq.trace_labels, "shards={shards}");
             assert_eq!(sharded.states_explored, seq.states_explored);
             assert_eq!(sharded.is_ok(), seq.is_ok());
         }

@@ -6,16 +6,16 @@
 //! action-sequence witnesses.
 //!
 //! The crate is the second user-facing workload of the engine (after
-//! circuit synthesis/verification): the same sequential and sharded
-//! explorers, budgets, partial verdicts and witness machinery run a
-//! protocol product space they were never specialized for.
+//! circuit synthesis/verification): the same explorer, budgets, partial
+//! verdicts and witness machinery run a protocol product space they were
+//! never specialized for.
 //!
 //! ```text
 //!  .proto text ──parse_proto──▶ ProtoSystem ──ProtoSpace::new──▶ StateSpace
 //!  generators ─┘ (validated,     │                                  │
-//!  ring/dining…   canonical)     │                        explore_with (seq
-//!                                │                         or sharded, under
-//!                                ▼                         a Budget)
+//!  ring/dining…   canonical)     │                        explore (breadth-
+//!                                │                         first, any shard
+//!                                ▼                         count, a Budget)
 //!                      check_deadlock[_with] ◀────────── Exploration
 //!                                │                         (violations +
 //!                                ▼                          witness parents)

@@ -1,7 +1,7 @@
 //! `ProtoSpace`: the product state space of a CFSM system as a
-//! [`si_petri::space::StateSpace`], so the shared sequential and sharded
-//! explorers (and their budgets, witnesses and partial verdicts) run
-//! protocol deadlock detection unchanged.
+//! [`si_petri::space::StateSpace`], so the shared explorer (and its
+//! budgets, witnesses and partial verdicts) runs protocol deadlock
+//! detection unchanged.
 //!
 //! A product state packs, into `u64` words, each module's local control
 //! state (a bit field sized to the module's state count, never straddling

@@ -1,6 +1,7 @@
 //! Property suite pinning the protocol checker's shard invariance: the
-//! deadlock report — verdict, canonically-sorted violation list and
-//! explored-state count — must be **identical** at 1/2/4/8 shards, on
+//! deadlock report — verdict, canonically-sorted violation list,
+//! explored-state count and witness — must be **identical** at 1/2/4/8
+//! shards, on
 //! every generator family and on random CFSM systems, and every reported
 //! witness must replay through [`ProtoSpace::replay`] to the state of
 //! the canonically-first violation. The text format is pinned alongside:
@@ -45,6 +46,12 @@ fn assert_shard_invariant(sys: &ProtoSystem) {
             sh.states_explored,
             seq.states_explored,
             "{}: state count at {shards} shards",
+            sys.name()
+        );
+        assert_eq!(
+            sh.trace_labels,
+            seq.trace_labels,
+            "{}: witness at {shards} shards",
             sys.name()
         );
         assert_eq!(sh.is_ok(), seq.is_ok());

@@ -40,14 +40,15 @@ use si_boolean::MinimizerChoice;
 use si_core::{
     clusters_from_wire, clusters_to_wire, derive_clusters, map_circuit, revalidate_clusters,
     signal_fingerprint, synthesize_with_context, to_verilog, Analysis, Architecture, Backend,
-    CscVerdict, Engine, MinimizeStages, Synthesis, SynthesisError, SynthesisOptions,
+    CscVerdict, Engine, MinimizeStages, StateGraphError, Synthesis, SynthesisError,
+    SynthesisOptions,
 };
 use si_csc::{CscOptions, EngineResolve, InsertionPlan, ResolveStats, Strategy};
 use si_petri::{
     check_live_safe_fc, CancelToken, Interrupt, ReachError, ReachOptions, ReachSummary,
     StructuralCheck,
 };
-use si_stg::{canonical_g, parse_g, write_g, Stg, StgAnalysis};
+use si_stg::{canonical_g, parse_g, write_g, EncodingError, Stg, StgAnalysis};
 use si_verify::EngineVerify;
 
 use crate::json::{escape, parse, Value};
@@ -624,13 +625,16 @@ impl Service {
             reach_builds: engine.reach_build_count(),
             ..resp
         };
-        let reach_failed = |e: &ReachError| Run {
+        let reach_failed = |e: &StateGraphError| Run {
             response: volatile(Response::fresh(format!(
                 "{{\"command\": \"verify\", \"ok\": false, \"inconclusive\": {}, \
                  \"model\": {}, \"error\": {}}}",
                 e.is_inconclusive(),
                 escape(stg.name()),
-                reach_error_json(&since_armed(e, &engine, req)),
+                match e {
+                    StateGraphError::Reach(e) => reach_error_json(&since_armed(e, &engine, req)),
+                    StateGraphError::Encoding(e) => encoding_error_json(e),
+                },
             ))),
             conclusive: !e.is_inconclusive(),
             manifest: Vec::new(),
@@ -870,6 +874,18 @@ fn interrupt_json(interrupted: Option<Interrupt>) -> String {
             i.states_explored
         )
     })
+}
+
+/// The error object of an ill-defined state encoding: kind
+/// `undetermined-signal` (a signal never switches, so no reachable
+/// marking fixes its value) or `inconsistent-encoding` (contradictory
+/// values at one marking).
+fn encoding_error_json(e: &EncodingError) -> String {
+    let kind = match e {
+        EncodingError::Undetermined { .. } => "undetermined-signal",
+        EncodingError::Inconsistent { .. } => "inconsistent-encoding",
+    };
+    error_json(kind, &e.to_string(), 0)
 }
 
 /// The per-candidate search statistics as a JSON object.

@@ -17,17 +17,15 @@
 //! The search for violating states is a [`si_petri::space::StateSpace`]
 //! over the prebuilt reachability graph — states are graph ids, successors
 //! its edges, the [`inspect`](si_petri::space::StateSpace::inspect) hook
-//! runs both checks — driven by the workspace's generic explorers. That
-//! buys sharded parallel verification (`shards > 1` splits the walk across
-//! worker threads) and a firing-sequence **counterexample trace** to the
-//! first violation ([`VerificationReport::trace`]) from the explorer's
-//! witness machinery.
+//! runs both checks — driven by the workspace's generic explorer. That
+//! buys parallel verification (`shards > 1` expands each batch of states
+//! on that many threads) and a shortest firing-sequence **counterexample
+//! trace** to the first violation ([`VerificationReport::trace`]) from
+//! the explorer's witness machinery.
 
 use si_boolean::Cover;
 use si_core::{Circuit, ImplKind};
-use si_petri::space::{
-    explore_with, ExploreError, ExploreOptions, SpaceVisitor, StateSpace, Verdict,
-};
+use si_petri::space::{explore, ExploreError, ExploreOptions, SpaceVisitor, StateSpace, Verdict};
 use si_petri::{Interrupt, ReachabilityGraph, StateId, TransId};
 use si_stg::{SignalId, StateEncoding, Stg};
 
@@ -147,15 +145,14 @@ fn spec_next(
 /// exhausting a soft limit returns a partial report tagged
 /// [`VerificationReport::interrupted`] instead of aborting. The budget's
 /// state *cap* is ignored here: the walk is bounded by the graph, whose
-/// construction the cap already governed. The violation list is
-/// identical at any shard count; the counterexample trace is always a
-/// valid firing sequence to `violations[0].at_state()` but may differ
-/// between runs (any witness is a witness).
+/// construction the cap already governed. The whole report, trace
+/// included, is identical at any shard count; the trace is a shortest
+/// firing sequence to `violations[0].at_state()`.
 ///
 /// # Errors
 ///
-/// [`si_petri::ReachError::WorkerPanicked`] when a sharded explorer
-/// worker panicked (only observable with fault injection or a broken
+/// [`si_petri::ReachError::WorkerPanicked`] when an explorer expansion
+/// thread panicked (only observable with fault injection or a broken
 /// space — panics are isolated per worker and surface structurally).
 pub(crate) fn verify_on(
     stg: &Stg,
@@ -168,7 +165,7 @@ pub(crate) fn verify_on(
     let space = VerifySpace::new(stg, circuit, rg, enc);
     let mut opts = ExploreOptions::from(reach).witness();
     opts.budget.cap = usize::MAX;
-    let mut expl = match explore_with(&space, opts) {
+    let mut expl = match explore(&space, opts) {
         Ok(expl) => expl,
         Err(ExploreError::WorkerPanicked { shard, message }) => {
             return Err(si_petri::ReachError::WorkerPanicked { shard, message })
@@ -455,6 +452,7 @@ y- x+
             for shards in [2, 4, 8] {
                 let par = verify_on(&stg, circuit, &rg, &enc, &walk(shards)).unwrap();
                 assert_eq!(seq.violations, par.violations);
+                assert_eq!(seq.trace, par.trace);
                 assert_eq!(seq.states_checked, par.states_checked);
                 assert_eq!(seq.is_ok(), par.is_ok());
             }

@@ -21,16 +21,16 @@
 //!
 //! The product is defined as a [`si_petri::space::StateSpace`] — packed
 //! states are `marking words ‖ wire-value words`, successors the product
-//! firings above — and driven by the workspace's generic explorers, so
-//! conformance gets sharded parallel exploration (`reach.shards > 1`),
+//! firings above — and driven by the workspace's generic explorer, so
+//! conformance gets parallel expansion (`reach.shards > 1`),
 //! reachability-identical cap semantics and a firing-sequence
 //! counterexample ([`ConformanceReport::trace`]) from the same machinery
 //! as every other traversal.
 
 use crate::engine_ext::initial_code;
 use si_boolean::Bits;
-use si_core::Circuit;
-use si_petri::space::{explore_with, ExploreError, ExploreOptions, SpaceVisitor, StateSpace};
+use si_core::{Circuit, StateGraphError};
+use si_petri::space::{explore, ExploreError, ExploreOptions, SpaceVisitor, StateSpace};
 use si_petri::{FiringView, Interrupt, InterruptReason, ReachError, TransId};
 use si_stg::{SignalId, SignalKind, Stg};
 
@@ -119,24 +119,26 @@ fn probe_exhausted(reason: InterruptReason) -> ConformanceReport {
 pub(crate) fn engine_conformance(
     engine: &si_core::Engine<'_>,
     circuit: &Circuit,
-) -> Result<ConformanceReport, ReachError> {
+) -> Result<ConformanceReport, StateGraphError> {
     let _span = si_obs::span("verify.conformance");
     let code0 = match initial_code(engine) {
         Ok(code) => code,
-        Err(ReachError::StateCapExceeded { .. }) => {
+        Err(StateGraphError::Reach(ReachError::StateCapExceeded { .. })) => {
             return Ok(probe_exhausted(InterruptReason::CapExceeded))
         }
-        Err(ReachError::Interrupted { reason, .. }) => return Ok(probe_exhausted(reason)),
+        Err(StateGraphError::Reach(ReachError::Interrupted { reason, .. })) => {
+            return Ok(probe_exhausted(reason))
+        }
         Err(e) => return Err(e),
     };
     let space = ProductSpace::new(engine.stg(), circuit, code0);
     let opts = ExploreOptions::from(engine.reach_options())
         .max_violations(ENOUGH_EVIDENCE)
         .witness();
-    let expl = match explore_with(&space, opts) {
+    let expl = match explore(&space, opts) {
         Ok(expl) => expl,
         Err(ExploreError::WorkerPanicked { shard, message }) => {
-            return Err(ReachError::WorkerPanicked { shard, message })
+            return Err(ReachError::WorkerPanicked { shard, message }.into())
         }
         Err(ExploreError::Fatal(_)) => unreachable!("the product space has no fatal violations"),
     };

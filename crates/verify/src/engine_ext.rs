@@ -10,8 +10,8 @@ use crate::check::{verify_on, VerificationReport};
 use crate::conform::{engine_conformance, ConformanceReport};
 use crate::sim::{walks, WalkOutcome};
 use si_boolean::Bits;
-use si_core::{Circuit, Engine};
-use si_petri::{ReachError, StateId, TransId};
+use si_core::{Circuit, Engine, StateGraphError};
+use si_petri::{StateId, TransId};
 
 /// Speed-independence verification over an [`Engine`]'s cached artifacts.
 ///
@@ -45,10 +45,13 @@ pub trait EngineVerify {
     ///
     /// # Errors
     ///
-    /// Any [`ReachError`] from building the session's reachability graph
-    /// — including [`ReachError::Interrupted`] when the budget ran out
-    /// mid-build — or [`ReachError::WorkerPanicked`] from the search.
-    fn verify(&self, circuit: &Circuit) -> Result<VerificationReport, ReachError>;
+    /// Any reachability error from building the session's graph —
+    /// including [`si_petri::ReachError::Interrupted`] when the budget
+    /// ran out mid-build — or
+    /// [`si_petri::ReachError::WorkerPanicked`] from the search, as
+    /// [`StateGraphError::Reach`]; [`StateGraphError::Encoding`] when the
+    /// specification has no well-defined state encoding.
+    fn verify(&self, circuit: &Circuit) -> Result<VerificationReport, StateGraphError>;
 
     /// Product-automaton conformance checking, seeded with the initial
     /// wire values of the session's encoding. The session's budget bounds
@@ -60,9 +63,11 @@ pub trait EngineVerify {
     ///
     /// # Errors
     ///
-    /// [`ReachError::NotSafe`] on a broken specification and
-    /// [`ReachError::WorkerPanicked`] from the exploration.
-    fn check_conformance(&self, circuit: &Circuit) -> Result<ConformanceReport, ReachError>;
+    /// [`si_petri::ReachError::NotSafe`] on a broken specification and
+    /// [`si_petri::ReachError::WorkerPanicked`] from the exploration, as
+    /// [`StateGraphError::Reach`]; [`StateGraphError::Encoding`] when the
+    /// specification has no well-defined state encoding.
+    fn check_conformance(&self, circuit: &Circuit) -> Result<ConformanceReport, StateGraphError>;
 
     /// Runs `walks` random schedules of `steps` steps each; returns the
     /// first non-clean outcome, or the clean summary of the longest walk.
@@ -71,14 +76,14 @@ pub trait EngineVerify {
     ///
     /// # Errors
     ///
-    /// Any [`ReachError`] from building the session's reachability graph.
+    /// The [`Engine::encoding`] error.
     fn random_walks(
         &self,
         circuit: &Circuit,
         walks: usize,
         steps: usize,
         seed: u64,
-    ) -> Result<WalkOutcome, ReachError>;
+    ) -> Result<WalkOutcome, StateGraphError>;
 
     /// One random walk that also returns the fired transitions (for
     /// waveform rendering / debugging).
@@ -91,17 +96,23 @@ pub trait EngineVerify {
         circuit: &Circuit,
         steps: usize,
         seed: u64,
-    ) -> Result<(WalkOutcome, Vec<TransId>), ReachError>;
+    ) -> Result<(WalkOutcome, Vec<TransId>), StateGraphError>;
 }
 
 impl EngineVerify for Engine<'_> {
-    fn verify(&self, circuit: &Circuit) -> Result<VerificationReport, ReachError> {
+    fn verify(&self, circuit: &Circuit) -> Result<VerificationReport, StateGraphError> {
         let rg = self.reachability()?;
         let enc = self.encoding()?;
-        verify_on(self.stg(), circuit, rg, enc, &self.reach_options())
+        Ok(verify_on(
+            self.stg(),
+            circuit,
+            rg,
+            enc,
+            &self.reach_options(),
+        )?)
     }
 
-    fn check_conformance(&self, circuit: &Circuit) -> Result<ConformanceReport, ReachError> {
+    fn check_conformance(&self, circuit: &Circuit) -> Result<ConformanceReport, StateGraphError> {
         engine_conformance(self, circuit)
     }
 
@@ -111,7 +122,7 @@ impl EngineVerify for Engine<'_> {
         count: usize,
         steps: usize,
         seed: u64,
-    ) -> Result<WalkOutcome, ReachError> {
+    ) -> Result<WalkOutcome, StateGraphError> {
         let code0 = initial_code(self)?;
         let _span = si_obs::span("verify.walks");
         Ok(walks(self.stg(), circuit, &code0, count, steps, seed, None))
@@ -122,7 +133,7 @@ impl EngineVerify for Engine<'_> {
         circuit: &Circuit,
         steps: usize,
         seed: u64,
-    ) -> Result<(WalkOutcome, Vec<TransId>), ReachError> {
+    ) -> Result<(WalkOutcome, Vec<TransId>), StateGraphError> {
         let code0 = initial_code(self)?;
         let _span = si_obs::span("verify.walks");
         let mut trace = Vec::new();
@@ -142,6 +153,6 @@ impl EngineVerify for Engine<'_> {
 /// The wire values of the specification's initial state, read from the
 /// session's encoding (the reachability graph numbers its initial marking
 /// 0).
-pub(crate) fn initial_code(engine: &Engine<'_>) -> Result<Bits, ReachError> {
+pub(crate) fn initial_code(engine: &Engine<'_>) -> Result<Bits, StateGraphError> {
     Ok(engine.encoding()?.code(StateId(0)).clone())
 }

@@ -18,10 +18,10 @@
 //!   product, from the initial wire values alone.
 //!
 //! The first two are implemented as [`si_petri::space::StateSpace`]s
-//! driven by the workspace's generic explorers: `Engine::shards` runs the
-//! violation search and the conformance product on the sharded
-//! multi-threaded explorer, and every failing report carries a
-//! firing-sequence counterexample ([`VerificationReport::trace`],
+//! driven by the workspace's generic explorer: `Engine::shards` expands
+//! the violation search and the conformance product on that many
+//! threads (with the same result), and every failing report carries a
+//! shortest firing-sequence counterexample ([`VerificationReport::trace`],
 //! [`ConformanceReport::trace`]).
 //!
 //! # Examples

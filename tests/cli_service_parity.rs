@@ -155,3 +155,42 @@ fn bad_input_gives_the_documented_exit_codes() {
     assert!(stdout.is_empty(), "{stdout}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn specs_without_a_state_encoding_fail_verify_with_a_structured_error() {
+    let dir = scratch_dir("no-encoding");
+    // A declared input that never switches, and a graph with no
+    // transitions at all: structurally fine, but no reachable marking
+    // fixes the value of the silent signal.
+    let specs = [
+        (
+            "silent_input.g",
+            ".model silent\n.inputs a b\n.graph\na+ a-\na- a+\n.marking { <a-,a+> }\n.end\n",
+        ),
+        (
+            "no_transitions.g",
+            ".model idle\n.inputs a\n.outputs b\n.graph\n.end\n",
+        ),
+    ];
+    for (name, text) in specs {
+        let path = write_spec(&dir, name, text);
+        for op in ["check", "synth", "verify"] {
+            let body = service_body(op, text, "");
+            let (code, stdout) = sisyn(&[op, path.to_str().unwrap(), "--json"]);
+            let what = format!("{op} {name}");
+            assert_eq!(comparable(&stdout), comparable(&body), "{what}");
+            let parsed = json::parse(&body).expect("body is JSON");
+            let expected = if op == "verify" { 1 } else { 0 };
+            assert_eq!(code, expected, "{what}: {stdout}");
+            assert_eq!(exit_code(&parsed), expected as u8, "{what}");
+            if op == "verify" {
+                let kind = parsed
+                    .get("error")
+                    .and_then(|e| e.get("kind"))
+                    .and_then(Value::as_str);
+                assert_eq!(kind, Some("undetermined-signal"), "{what}: {body}");
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
